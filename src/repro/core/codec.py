@@ -54,6 +54,7 @@ __all__ = [
     "CodecError",
     "WireDecoder",
     "WireEncoder",
+    "canonical_json",
     "decode_gossip",
     "decode_journal_body",
     "encode_gossip",
@@ -154,6 +155,22 @@ _DYNAMIC_BASE = len(STATIC_SYMBOLS)
 _FLOAT = struct.Struct(">d")
 
 
+#: The one canonical-JSON encoder (key-sorted, compact, ASCII-only).
+#: ``json.dumps`` with keyword arguments builds a fresh encoder per call;
+#: sharing one keeps that cost off every hot path that sizes or journals
+#: a value.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def canonical_json(value: Any) -> bytes:
+    """The canonical-JSON encoding of ``value``: the wire and journal form.
+
+    Raises :class:`TypeError` for values JSON cannot represent, like
+    ``json.dumps``.
+    """
+    return _CANONICAL.encode(value).encode("ascii")
+
+
 def json_size(value: Any) -> int:
     """Byte length of the canonical-JSON wire form of ``value``.
 
@@ -162,9 +179,8 @@ def json_size(value: Any) -> int:
     constructed without an explicit size.  Raises :class:`TypeError` for
     values JSON cannot represent, like ``json.dumps``.
     """
-    return len(
-        json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    )
+    # The encoding is ASCII-only, so its character count is its byte count.
+    return len(_CANONICAL.encode(value))
 
 
 class BinaryFrame:

@@ -1014,7 +1014,12 @@ class Directory:
             elif peer is not None and version is not None and version == peer.version + 1:
                 self._apply_profiles(payload, runtime_id, now, full=False)
                 peer.version = version
-                peer.digest = digest
+                if peer.digest is not None:
+                    # Only a synced record may adopt the peer's digest: an
+                    # unsynced one (first contact or gap, full pull still
+                    # outstanding) would make that pull's reply look like
+                    # a duplicate and drop state it never learned.
+                    peer.digest = digest
             else:
                 # Version gap (missed deltas) or first contact via a delta:
                 # apply best-effort, drop the digest record so heartbeats

@@ -38,15 +38,32 @@ Checkpoints
 -----------
 
 The journal keeps a live *mirror* of what replay would produce (every
-appended record is folded into it immediately).  Every
-``CHECKPOINT_EVERY_RECORDS`` appends -- and at the end of every cold
-recovery -- the blob is rewritten as a single ``checkpoint`` record
-serialized from the mirror and the LSN chain restarts at 1, so neither
-the blob nor replay time grows with uptime.  The mirror is also the
-repair source when :meth:`Journal.sync` finds the durable tail corrupted
-underneath a live runtime: instead of appending after the damage (which
-would strand every later record past the first bad frame), it rewrites
-the blob from the mirror, so nothing that was ever appended is lost.
+appended record is folded into it immediately).  Compaction is sized in
+bytes, the usual rewrite rule for log-structured stores: once the bytes
+appended since the last checkpoint reach that checkpoint's own size, or
+``Journal.CHECKPOINT_MIN_BYTES`` if that is larger -- and at the end of
+every cold recovery -- the blob is rewritten as a single ``checkpoint``
+record serialized from the mirror and the LSN chain restarts at 1.  A
+checkpoint therefore costs no more than the appends that paid for it,
+and the blob stays under about twice (checkpoint + floor), whatever the
+uptime or the backlog.
+
+The unacked spool, the part of the mirror that grows with the backlog,
+is encoded once.  Each spool entry's canonical JSON is kept beside the
+mirror from the append that wrote it until it is acked, dropped or
+flushed, and a checkpoint joins those bytes (:func:`assemble_checkpoint`)
+instead of re-encoding every envelope; entries without a kept encoding
+(after :meth:`Journal.replay`, a lost group-commit window, or a caller
+pruning the mirror) are encoded at that point.  The assembled record is
+byte-identical to encoding the whole mirror at once.  The binary journal
+interns strings per record, so its checkpoints are still encoded whole.
+
+The mirror is also the repair source when :meth:`Journal.sync` finds the
+durable tail corrupted underneath a live runtime: instead of appending
+after the damage (which would strand every later record past the first
+bad frame), it rewrites the blob from the mirror, so nothing that was
+ever appended is lost.  The repair never copies bytes out of the damaged
+blob.
 """
 
 from __future__ import annotations
@@ -58,8 +75,10 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.codec import (
     CodecError,
+    canonical_json,
     decode_journal_body,
     encode_journal_body,
+    encoded_size,
     is_binary_journal_body,
 )
 
@@ -71,8 +90,10 @@ __all__ = [
     "DurableMedia",
     "Journal",
     "RecoveredState",
+    "assemble_checkpoint",
     "durable_media",
     "encode_record",
+    "encode_spool_entry",
     "replay_blob",
 ]
 
@@ -150,10 +171,70 @@ def encode_record(
     if binary:
         body = encode_journal_body(record, compress=compress)
     else:
-        body = json.dumps(
-            record, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-    return b"%08x " % (zlib.crc32(body) & 0xFFFFFFFF) + body + b"\n"
+        body = canonical_json(record)
+    return _frame([body])
+
+
+def _frame(parts: List[bytes]) -> bytes:
+    """Line-frame a record body, given in parts, behind its CRC-32 (one
+    copy of the body, however many parts it arrives in)."""
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join([b"%08x " % crc, *parts, b"\n"])
+
+
+def encode_spool_entry(envelope: dict, size: int) -> bytes:
+    """Encode step: the canonical JSON of one ``[envelope, size]`` spool
+    entry, the unit that ``spool-batch`` records and a checkpoint's
+    ``spool`` section are joined from.  Raises :class:`TypeError` for an
+    envelope JSON cannot represent."""
+    return canonical_json([envelope, size])
+
+
+def assemble_checkpoint(data: dict, spool: Dict[str, List[bytes]]) -> bytes:
+    """Assemble step: the framed ``checkpoint`` record for ``data`` plus a
+    ``spool`` section given as each peer's encoded entries.
+
+    Byte-identical to ``encode_record(1, "checkpoint", data)`` with the
+    spool in ``data``: canonical JSON has no whitespace and sorts object
+    keys, so an object is its sorted ``"key":value`` pairs joined by
+    commas, whatever produced each value's bytes."""
+    fields = {key: [canonical_json(value)] for key, value in data.items()}
+    fields["spool"] = _object_parts(
+        {peer: [b"[", b",".join(entries), b"]"] for peer, entries in spool.items()}
+    )
+    return _frame(
+        [b'{"data":', *_object_parts(fields), b',"kind":"checkpoint","lsn":1}']
+    )
+
+
+def _object_parts(fields: Dict[str, List[bytes]]) -> List[bytes]:
+    """A canonical-JSON object, in parts, from values already encoded."""
+    parts: List[bytes] = []
+    for key in sorted(fields):
+        parts += (b"," if parts else b"{", canonical_json(key), b":", *fields[key])
+    return parts + [b"}"] if parts else [b"{}"]
+
+
+def _spool_record(lsn: int, data: dict) -> Tuple[bytes, bytes]:
+    """A ``spool`` record and its entry's encoding, from one envelope
+    encode.  The literal layout is ``encode_record``'s key order."""
+    envelope = canonical_json(data["envelope"])
+    size = data["size"]
+    # An int is its own JSON; the encoder's per-call setup costs more.
+    size = b"%d" % size if type(size) is int else canonical_json(size)
+    record = _frame([
+        b'{"data":{"envelope":', envelope,
+        b',"peer":', canonical_json(data["peer"]),
+        b',"size":', size,
+        b'},"kind":"spool","lsn":%d}' % lsn,
+    ])
+    return b"[%s,%s]" % (envelope, size), record
+
+
+#: The exact data keys of a ``spool`` record, laid out by _spool_record.
+_SPOOL_KEYS = frozenset(("envelope", "peer", "size"))
 
 
 def _decode_line(line: bytes) -> Optional[dict]:
@@ -281,9 +362,10 @@ class Journal:
     reads.
     """
 
-    #: Rewrite the blob as one checkpoint record after this many appends,
-    #: so blob size and replay time stay bounded regardless of uptime.
-    CHECKPOINT_EVERY_RECORDS = 2048
+    #: Compaction floor: a checkpoint is due once the bytes appended since
+    #: the last one reach that checkpoint's size or this floor, whichever
+    #: is larger (the floor is about 2048 records of a typical size).
+    CHECKPOINT_MIN_BYTES = 512 * 1024
 
     def __init__(
         self,
@@ -324,12 +406,19 @@ class Journal:
         self._mirror = RecoveredState(applied_records=len(records))
         for record in records:
             self._apply(self._mirror, record["kind"], record["data"])
-        self._records_since_checkpoint = 0
-        #: Foldable pending tail: metadata of the last appended record when
-        #: it is a still-in-the-group-commit-buffer ``spool-batch``, so the
-        #: next :meth:`append_spool` for the same peer can grow it in place
-        #: instead of appending a new record.  Invalidated by any other
-        #: append, by a flush, and by checkpoints.
+        #: Size of the last checkpoint record, and the bytes appended since
+        #: (whatever already survives on disk counts as appended).
+        self._checkpoint_bytes = 0
+        self._appended_bytes = clean
+        #: id(spool entry) -> (entry, its :func:`encode_spool_entry` bytes)
+        #: for the mirror's spool entries whose encoding the append kept
+        #: (JSON journals only).  Holding the entry pins its id.
+        self._encoded: Dict[int, Tuple[tuple, bytes]] = {}
+        #: The open ``spool-batch`` record, not yet framed: the next
+        #: :meth:`append_spool` for the same peer adds its entry here
+        #: (encoded for a JSON journal, raw for the binary one).
+        #: Framed into the pending buffer by any other append, by a flush
+        #: and by :meth:`lose_pending`; dropped by checkpoints.
         self._fold: Optional[dict] = None
         self.records_appended = 0
         self.fsyncs = 0
@@ -349,7 +438,8 @@ class Journal:
 
     @property
     def pending_bytes(self) -> int:
-        return len(self._pending)
+        fold = self._fold
+        return len(self._pending) + (fold["bytes"] if fold is not None else 0)
 
     # -- writing ------------------------------------------------------------
 
@@ -358,17 +448,32 @@ class Journal:
             return
         # Any interleaved record ends the foldable run: growing an earlier
         # spool-batch past e.g. a spool-flush would reorder replay.
-        self._fold = None
+        self._seal_fold()
         # Encode before committing the LSN: a non-serializable payload must
         # raise without leaving a gap in the sequence chain.
-        record = encode_record(self._lsn + 1, kind, data, self.binary)
-        self._lsn += 1
+        lsn = self._lsn + 1
+        entry = None
+        if kind == "spool" and not self.binary and data.keys() == _SPOOL_KEYS:
+            entry, record = _spool_record(lsn, data)
+        else:
+            record = encode_record(lsn, kind, data, self.binary)
+        self._lsn = lsn
         self._pending += record
         self._pending_tail = record
         self.records_appended += 1
-        self._apply(self._mirror, kind, data)
-        self._records_since_checkpoint += 1
-        if self._records_since_checkpoint >= self.CHECKPOINT_EVERY_RECORDS:
+        if entry is None:
+            self._apply_to_mirror(kind, data)
+        else:
+            self._keep(data["peer"], data["envelope"], data["size"], entry)
+        self._appended(len(record))
+
+    def _appended(self, nbytes: int) -> None:
+        """Account ``nbytes`` of new records: compact once they reach the
+        last checkpoint's size (or the floor), else commit them."""
+        self._appended_bytes += nbytes
+        if self._appended_bytes >= max(
+            self._checkpoint_bytes, self.CHECKPOINT_MIN_BYTES
+        ):
             self.checkpoint()
         elif self.fsync_interval <= 0:
             self.sync()
@@ -376,45 +481,87 @@ class Journal:
             self._flush_scheduled = True
             self.runtime.kernel.call_later(self.fsync_interval, self._flush_timer)
 
+    def _keep(self, peer: str, envelope: dict, size: int, entry: bytes) -> None:
+        """Fold one spool entry into the mirror, keeping its encoding."""
+        kept = self._apply_spool_entry(self._mirror, peer, envelope, size)
+        self._encoded[id(kept)] = (kept, entry)
+
+    def _apply_to_mirror(self, kind: str, data: dict) -> None:
+        """Apply a record to the mirror, releasing the kept encodings of
+        the spool entries it removes."""
+        leaving = ()
+        if self._encoded and kind in ("spool-ack", "spool-drop", "spool-flush"):
+            entries = self._mirror.spool.get(data["peer"]) or ()
+            if kind == "spool-ack":
+                leaving = entries[: max(int(data.get("count", 1)), 0)]
+            elif kind == "spool-drop":
+                leaving = entries[:1]
+            else:
+                leaving = entries
+        self._apply(self._mirror, kind, data)
+        for entry in leaving:
+            self._encoded.pop(id(entry), None)
+
     def append_spool(self, peer: str, envelope: dict, size: int) -> None:
         """Write-ahead-log one spooled envelope, amortized.
 
         Consecutive spool appends for the same peer that are still sitting
-        in the group-commit buffer fold into a single growing
-        ``spool-batch`` record (shared framing, one line on disk), so WAL
-        bytes and record counts per message drop at high rates.  Durability
-        is unchanged: the entry rides the same pending buffer the
-        equivalent ``spool`` record would, and with ``fsync_interval=0``
-        every batch record is flushed holding exactly one entry.  Raises
-        :class:`TypeError` (before mutating any state) when the envelope is
-        not JSON-representable, like :meth:`append`.
+        in the group-commit buffer fold into a single ``spool-batch``
+        record (shared framing, one line on disk), so WAL bytes and record
+        counts per message drop at high rates.  Each entry is encoded once,
+        here; the record is framed when the fold ends, so a fold of N
+        entries costs N entry encodes rather than N growing re-encodes.
+        Durability is unchanged: the entry rides the same pending buffer
+        the equivalent ``spool`` record would, and with
+        ``fsync_interval=0`` every batch record is flushed holding exactly
+        one entry.  Raises :class:`TypeError` (before mutating any state)
+        when the envelope is not representable, like :meth:`append`.
         """
         if not self.enabled or self.muted:
             return
+        if self.binary:
+            # Validate only: interned binary bodies cannot be joined, so a
+            # binary fold is encoded whole when it is framed.
+            entry, nbytes = None, encoded_size([envelope, size])
+        else:
+            entry = encode_spool_entry(envelope, size)
+            nbytes = len(entry)
         fold = self._fold
         if fold is not None and fold["peer"] == peer:
-            entries = fold["data"]["entries"]
-            entries.append([envelope, size])
-            try:
-                record = encode_record(
-                    fold["lsn"], "spool-batch", fold["data"], self.binary
-                )
-            except TypeError:
-                entries.pop()
-                raise
-            del self._pending[fold["start"]:]
-            self._pending += record
-            self._pending_tail = record
             self.spool_folds += 1
+        else:
+            self._seal_fold()
+            self._lsn += 1
+            self.records_appended += 1
+            fold = self._fold = {
+                "peer": peer, "lsn": self._lsn, "entries": [], "bytes": 0,
+            }
+        fold["bytes"] += nbytes + 1
+        if entry is None:
+            fold["entries"].append([envelope, size])
             self._apply_spool_entry(self._mirror, peer, envelope, size)
+        else:
+            fold["entries"].append(entry)
+            self._keep(peer, envelope, size, entry)
+        self._appended(nbytes + 1)
+
+    def _seal_fold(self) -> None:
+        """Frame the open ``spool-batch`` into the pending buffer."""
+        fold = self._fold
+        if fold is None:
             return
-        data = {"peer": peer, "entries": [[envelope, size]]}
-        start = len(self._pending)
-        self.append("spool-batch", data)
-        if len(self._pending) > start:
-            # The record is still pending (group commit): the next spool
-            # append for this peer may grow it in place.
-            self._fold = {"peer": peer, "data": data, "lsn": self._lsn, "start": start}
+        self._fold = None
+        if self.binary:
+            data = {"peer": fold["peer"], "entries": fold["entries"]}
+            record = encode_record(fold["lsn"], "spool-batch", data, True)
+        else:
+            record = _frame([
+                b'{"data":{"entries":[', b",".join(fold["entries"]),
+                b'],"peer":', canonical_json(fold["peer"]),
+                b'},"kind":"spool-batch","lsn":%d}' % fold["lsn"],
+            ])
+        self._pending += record
+        self._pending_tail = record
 
     def sync(self) -> None:
         """Flush the pending buffer to stable storage (one group commit).
@@ -424,6 +571,7 @@ class Journal:
         crashed precondition) would otherwise strand every later record
         behind the first bad frame.  Damage is repaired by rewriting the
         blob from the in-memory mirror, so nothing appended is lost."""
+        self._seal_fold()
         if not self._pending:
             return
         blob = self.blob
@@ -441,7 +589,6 @@ class Journal:
         self.fsyncs += 1
         self.bytes_written += len(self._pending)
         self._pending.clear()
-        self._fold = None  # flushed records are immutable
 
     @staticmethod
     def _last_frame(view, end: int) -> bytes:
@@ -466,35 +613,62 @@ class Journal:
         immediately -- they never sit in the group-commit buffer."""
         if not self.enabled or self.muted:
             return
-        record = encode_record(
-            1, "checkpoint", self._checkpoint_data(), self.binary,
-            compress=self.compress,
-        )
+        self._fold = None  # its entries are already in the mirror
+        if self.binary:
+            spool = {
+                peer: [[envelope, size] for envelope, size in entries]
+                for peer, entries in self._mirror.spool.items()
+            }
+            record = encode_record(
+                1, "checkpoint", self._checkpoint_data(spool), True,
+                compress=self.compress,
+            )
+        else:
+            record = assemble_checkpoint(
+                self._checkpoint_data(), self._encoded_spool()
+            )
         blob = self.blob
         del blob[:]
         blob.extend(record)
         self._pending.clear()  # effects already folded into the snapshot
-        self._fold = None
         self._lsn = 1
         self._tail_frame = record
-        self._records_since_checkpoint = 0
+        self._checkpoint_bytes = len(record)
+        self._appended_bytes = 0
         self.checkpoints += 1
         self.fsyncs += 1
         self.bytes_written += len(record)
 
-    def _checkpoint_data(self) -> dict:
+    def _encoded_spool(self) -> Dict[str, List[bytes]]:
+        """Each peer's spool entries, encoded: the kept bytes where the
+        append left them, a fresh encode where it did not.  The kept set is
+        rebuilt to hold exactly the mirror's entries, which also releases
+        entries a caller pruned from the mirror."""
+        kept, fresh, section = self._encoded, {}, {}
+        for peer, entries in self._mirror.spool.items():
+            encoded = section[peer] = []
+            for entry in entries:
+                hit = kept.get(id(entry))
+                if hit is None or hit[0] is not entry:
+                    hit = (entry, encode_spool_entry(*entry))
+                fresh[id(entry)] = hit
+                encoded.append(hit[1])
+        self._encoded = fresh
+        return section
+
+    def _checkpoint_data(self, spool: Optional[dict] = None) -> dict:
+        """The mirror as checkpoint data; the spool section only when
+        given (a JSON checkpoint assembles it from the kept encodings)."""
         mirror = self._mirror
         data = {
             "registered": mirror.registered,
             "bindings": mirror.bindings,
             "paths": mirror.paths,
-            "spool": {
-                peer: [[envelope, size] for envelope, size in entries]
-                for peer, entries in mirror.spool.items()
-            },
-            "stream_seqs": mirror.stream_seqs,
-            "breakers": mirror.breakers,
         }
+        if spool is not None:
+            data["spool"] = spool
+        data["stream_seqs"] = mirror.stream_seqs
+        data["breakers"] = mirror.breakers
         # Shard fields ride the checkpoint only when sharding ever wrote
         # them, so non-sharded checkpoints stay byte-identical.
         if mirror.shard_entries:
@@ -529,15 +703,16 @@ class Journal:
         process.  The LSN counter rolls back with them so the on-disk chain
         stays gapless, and the mirror is rebuilt from what is actually
         durable."""
+        self._seal_fold()
         if self._pending:
             lost = self._pending.count(b"\n")
             self.records_lost += lost
             self._lsn -= lost
             self._pending.clear()
             self._pending_tail = b""
-            self._fold = None
             records, _clean, _junk = replay_blob(self.blob)
             self._mirror = RecoveredState(applied_records=len(records))
+            self._encoded = {}
             for record in records:
                 self._apply(self._mirror, record["kind"], record["data"])
 
@@ -564,6 +739,7 @@ class Journal:
         # recovery) may prune it -- e.g. drop opaque spool markers it will
         # not respool -- before sealing it with a checkpoint.
         self._mirror = state
+        self._encoded = {}
         return state
 
     @staticmethod
@@ -819,9 +995,11 @@ class Journal:
     @staticmethod
     def _apply_spool_entry(
         state: RecoveredState, peer: str, envelope: dict, size: int
-    ) -> None:
-        state.spool.setdefault(peer, []).append((envelope, size))
+    ) -> tuple:
+        entry = (envelope, size)
+        state.spool.setdefault(peer, []).append(entry)
         stream = envelope.get("stream")
         seq = envelope.get("seq")
         if stream is not None and isinstance(seq, int):
             state.stream_seqs[stream] = max(state.stream_seqs.get(stream, 0), seq)
+        return entry

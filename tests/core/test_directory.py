@@ -245,6 +245,42 @@ class TestDeltaDigestGossip:
         assert r1.directory.full_requests_sent == requests_before
         assert [p.name for p in r1.lookup(Query(role="display"))] == ["tv"]
 
+    def test_full_state_after_unsynced_in_order_delta_is_applied(self, rig):
+        """A recovered runtime's first contact with a peer is a delta, and
+        a second, in-order delta can arrive before the full state that the
+        first one pulled.  The unsynced record must not adopt that delta's
+        digest, or the full state is dropped as a duplicate and the peer's
+        older translators are never re-learned."""
+        r0, r1 = rig.runtimes
+        make_sink(r0, name="tv", role="display")
+        rig.settle(1.0)
+        # r1 forgets everything about r0, as a cold-recovered runtime does.
+        tv = r1.lookup(Query(role="display"))[0]
+        r1.directory._drop_entry(tv.translator_id)
+        r1.directory._peer_states.pop(r0.runtime_id)
+        cam = make_sink(r0, name="cam", role="display")[0].profile
+        lamp = make_sink(r0, name="lamp", role="display")[0].profile
+        version = r0.directory._version
+        # 1. First contact is a delta: applied best effort, full pull sent.
+        r1.directory._apply_announcement(
+            self.forge_delta(r1.directory, r0, version - 1, [cam])
+        )
+        assert r1.directory._peer_states[r0.runtime_id].digest is None
+        # 2. The next in-order delta overtakes the pull's reply.
+        delta = self.forge_delta(r1.directory, r0, version, [lamp])
+        delta["digest"] = r0.directory.state_digest()
+        r1.directory._apply_announcement(delta)
+        assert r1.directory._peer_states[r0.runtime_id].digest is None
+        # 3. The full state carries that same digest and must still apply.
+        full = r0.directory._announcement(
+            r0.directory._local_profiles(), [], full=True, heartbeat=False
+        )
+        r1.directory._apply_announcement(full)
+        names = sorted(p.name for p in r1.lookup(Query(role="display")))
+        assert names == ["cam", "lamp", "tv"]
+        assert r1.directory._peer_states[r0.runtime_id].digest == full["digest"]
+        r1.directory.check_index_consistency()
+
     def test_expire_runtime_drops_peer_address(self, rig):
         """A conclusively-dead peer's learned unicast address is dropped so
         announcements stop chasing it (it re-registers on rejoin)."""

@@ -155,19 +155,33 @@ class TestJournal:
         assert [r["lsn"] for r in records_of(journal.blob)][-1] == journal._lsn
 
     def test_auto_checkpoint_bounds_blob_and_preserves_state(self):
+        """Compaction is sized in bytes: a checkpoint is due once the bytes
+        appended since the last one reach that checkpoint's size or the
+        floor, so the blob never outgrows checkpoint + trigger."""
         bed, runtime = self.make_runtime()
         journal = runtime.journal
-        total = Journal.CHECKPOINT_EVERY_RECORDS + 50
-        for index in range(total):
+        floor = Journal.CHECKPOINT_MIN_BYTES
+        sizes = []
+        checkpoint = journal.checkpoint
+
+        def recording_checkpoint():
+            checkpoint()
+            sizes.append(journal.size_bytes)
+
+        journal.checkpoint = recording_checkpoint
+        total = 0
+        while len(sizes) < 3:
             journal.append(
-                "register", {"profile": {"translator_id": f"t{index}"}}
+                "register", {"profile": {"translator_id": f"t{total:06d}"}}
             )
-        assert journal.checkpoints >= 1
+            total += 1
+            last = sizes[-1] if sizes else 0
+            assert journal.size_bytes < last + max(last, floor) + 100
         records = records_of(journal.blob)
         # Compacted: one checkpoint plus the post-checkpoint tail, not
         # thousands of raw records.
         assert records[0]["kind"] == "checkpoint"
-        assert len(records) <= 60
+        assert journal.size_bytes - sizes[-1] < max(sizes[-1], floor)
         state = journal.replay()
         assert len(state.registered) == total
 
@@ -451,3 +465,227 @@ class TestAmortizedSpoolRecords:
         journal.sync()
         lsns = [r["lsn"] for r in records_of(journal.blob)]
         assert lsns == sorted(lsns) and len(set(lsns)) == len(lsns)
+
+
+def message(seq, pad=40):
+    return {
+        "kind": "message",
+        "payload": {"reading": seq, "note": "x" * pad},
+        "stream": "s",
+        "seq": seq,
+    }
+
+
+def mirror_checkpoint(journal):
+    """The checkpoint record ``encode_record`` makes of the whole mirror."""
+    spool = {
+        peer: [[envelope, size] for envelope, size in entries]
+        for peer, entries in journal._mirror.spool.items()
+    }
+    return encode_record(1, "checkpoint", journal._checkpoint_data(spool))
+
+
+class TestCheckpointAssembly:
+    """A JSON checkpoint joins the spool entries' kept encodings; the
+    result must be byte-identical to encoding the whole mirror at once."""
+
+    def make_journal(self, **kwargs):
+        bed = build_testbed(hosts=["h1"])
+        runtime = bed.add_runtime("h1", **kwargs)
+        journal = runtime.journal
+        seq = 0
+        for peer in ("p3", "p1", "p2"):  # not sorted: the section sorts them
+            for _ in range(4):
+                seq += 1
+                journal.append(
+                    "spool", {"peer": peer, "envelope": message(seq), "size": 60}
+                )
+            seq += 1
+            journal.append_spool(peer, message(seq), 60)
+        journal.append("register", {"profile": {"translator_id": "t1"}})
+        return bed, runtime, journal
+
+    def assert_identical(self, journal):
+        expected = mirror_checkpoint(journal)
+        journal.checkpoint()
+        assert bytes(journal.blob) == expected
+        # The kept encodings are exactly the mirror's spool, no more.
+        assert len(journal._encoded) == sum(
+            len(entries) for entries in journal._mirror.spool.values()
+        )
+
+    def test_spool_records_match_encode_record(self):
+        bed, runtime, journal = self.make_journal(fsync_interval=5.0)
+        data = {"peer": "p1", "envelope": message(99), "size": 7}
+        journal.sync()
+        start = journal.size_bytes
+        journal.append("spool", data)
+        journal.append_spool("p2", message(100), 8)
+        journal.append_spool("p2", message(101), 9)
+        journal.sync()
+        lsn = journal._lsn
+        batch = {"peer": "p2", "entries": [[message(100), 8], [message(101), 9]]}
+        assert bytes(journal.blob[start:]) == (
+            encode_record(lsn - 1, "spool", data)
+            + encode_record(lsn, "spool-batch", batch)
+        )
+
+    def test_after_appends(self):
+        bed, runtime, journal = self.make_journal()
+        self.assert_identical(journal)
+
+    def test_after_ack(self):
+        bed, runtime, journal = self.make_journal()
+        journal.append("spool-ack", {"peer": "p1"})
+        journal.append("spool-ack", {"peer": "p2", "count": 3})
+        assert len(journal._encoded) == 15 - 4
+        self.assert_identical(journal)
+
+    def test_after_drop(self):
+        bed, runtime, journal = self.make_journal()
+        journal.append("spool-drop", {"peer": "p3"})
+        assert len(journal._encoded) == 15 - 1
+        self.assert_identical(journal)
+
+    def test_after_flush(self):
+        bed, runtime, journal = self.make_journal()
+        journal.append("spool-flush", {"peer": "p2"})
+        assert len(journal._encoded) == 10
+        self.assert_identical(journal)
+
+    def test_after_replay(self):
+        bed, runtime, journal = self.make_journal()
+        journal.checkpoint()
+        journal.append("spool-ack", {"peer": "p1"})
+        journal.replay()
+        assert journal._encoded == {}
+        self.assert_identical(journal)
+
+    def test_after_lose_pending(self):
+        bed, runtime, journal = self.make_journal(fsync_interval=5.0)
+        journal.sync()
+        journal.append("spool-ack", {"peer": "p1"})
+        journal.append_spool("p1", message(50), 60)
+        journal.lose_pending()
+        self.assert_identical(journal)
+        assert [e["seq"] for e, _s in journal._mirror.spool["p1"]] == [
+            6, 7, 8, 9, 10,
+        ]
+
+    def test_after_tail_repair(self):
+        bed, runtime, journal = self.make_journal(fsync_interval=5.0)
+        journal.sync()
+        durable_media(bed.network).flip_tail_byte(
+            runtime.runtime_id, offset_from_end=4
+        )
+        journal.append("spool-ack", {"peer": "p3", "count": 2})
+        journal.append_spool("p3", message(60), 60)
+        expected = mirror_checkpoint(journal)
+        journal.sync()
+        assert journal.tail_repairs == 1
+        assert bytes(journal.blob) == expected
+
+    def test_after_pruned_mirror(self):
+        """Recovery prunes the replayed mirror in place; entries the kept
+        set does not know are encoded, and pruned ones are released."""
+        bed, runtime, journal = self.make_journal()
+        entries = journal._mirror.spool["p1"]
+        entries[:] = [entries[0], (message(77, pad=3), 5), entries[2]]
+        self.assert_identical(journal)
+
+    def test_binary_journal_still_encodes_whole_checkpoints(self):
+        bed, runtime, journal = self.make_journal(codec_enabled=True)
+        assert journal._encoded == {}
+        journal.checkpoint()
+        state = journal.replay()
+        assert sum(len(entries) for entries in state.spool.values()) == 15
+
+
+class TestCompactionCost:
+    """Checkpoint work is bounded by the work appended since the last one,
+    whatever the depth of the unacked spool."""
+
+    @staticmethod
+    def run(depth):
+        """Fill a spool ``depth`` deep, then append and ack one entry per
+        step.  Returns checkpoint bytes per appended byte over the whole
+        run, and over the windows after the backlog first turned over."""
+        bed = build_testbed(hosts=["h1"])
+        journal = bed.add_runtime("h1").journal
+        floor = Journal.CHECKPOINT_MIN_BYTES
+        sizes, written = [], [journal.bytes_written]
+        checkpoint = journal.checkpoint
+
+        def recording_checkpoint():
+            checkpoint()
+            sizes.append(journal.size_bytes)
+            written.append(journal.bytes_written)
+
+        journal.checkpoint = recording_checkpoint
+
+        def step(seq):
+            journal.append(
+                "spool", {"peer": "p", "envelope": message(seq), "size": 60}
+            )
+            last = sizes[-1] if sizes else 0
+            assert journal.size_bytes < last + max(last, floor) + 1024
+
+        def ratio(first):
+            checkpointed = sum(sizes[first:])
+            appended = written[-1] - written[first] - checkpointed
+            return checkpointed / appended
+
+        for seq in range(depth):
+            step(seq)
+        turned = None
+        seq = depth
+        while turned is None or len(sizes) < turned + 3:
+            step(seq)
+            journal.append("spool-ack", {"peer": "p"})
+            seq += 1
+            if turned is None and seq >= 2 * depth and sizes:
+                turned = len(sizes)
+        assert len(journal._mirror.spool["p"]) == depth
+        return ratio(0), ratio(turned)
+
+    @pytest.mark.parametrize("depth", [100, 1000, 10000])
+    def test_checkpoint_bytes_stay_below_appended_bytes(self, depth):
+        overall, steady = self.run(depth)
+        # At most one checkpoint byte per appended byte once the backlog
+        # is steady; while it fills, each checkpoint outgrows the last.
+        assert steady <= 1.02, (depth, steady)
+        assert overall <= 1.25, (depth, overall)
+
+
+
+class TestFoldEncodesOnce:
+    def test_folded_bytes_encoded_grow_linearly(self, monkeypatch):
+        """Each folded entry is encoded once and the batch framed at flush,
+        so N folded appends encode O(N) bytes, not O(N^2)."""
+        import repro.core.journal as journal_module
+
+        encoded = [0]
+        real = journal_module.canonical_json
+
+        def counting(value):
+            out = real(value)
+            encoded[0] += len(out)
+            return out
+
+        monkeypatch.setattr(journal_module, "canonical_json", counting)
+
+        def bytes_for(count):
+            bed = build_testbed(hosts=["h1"])
+            journal = bed.add_runtime(
+                "h1", batching_enabled=True, fsync_interval=1.0
+            ).journal
+            journal.sync()
+            encoded[0] = 0
+            for seq in range(count):
+                journal.append_spool("p", message(seq), 60)
+            journal.sync()
+            assert journal.spool_folds == count - 1
+            return encoded[0]
+
+        small, large = bytes_for(100), bytes_for(800)
+        assert large <= 8 * small * 1.05
