@@ -267,7 +267,6 @@ def run_latency(compression: bool) -> dict:
     bed.network.trace.enabled = False
     kwargs = dict(
         calibration=FAST_LAN,
-        batching_enabled=True,
         codec_enabled=True,
         compression_enabled=compression,
     )
@@ -324,7 +323,6 @@ def bench_default_off_burst() -> dict:
     bed.network.trace.enabled = False
     kwargs = dict(
         calibration=FAST_LAN,
-        batching_enabled=True,
         codec_enabled=True,
         sharding_enabled=True,
     )

@@ -1,30 +1,27 @@
-"""Data-plane throughput: batched + pipelined peer senders versus the
-one-envelope-per-frame baseline.
+"""Data-plane throughput of the batched + pipelined peer senders.
 
 Writes ``BENCH_dataplane.json`` at the repository root.  A single source
 fans one 1k-message burst out to 1, 8 and 64 peer runtimes over a fast
 (1 Gbps) LAN, so the calibrated *host-side* costs -- per-segment TCP
 processing, per-envelope marshal, per-frame round trips -- dominate
-instead of the paper's 10 Mbps wire.  Batching amortizes exactly those
-costs, so the measured simulated-time speedup is the tentpole claim:
+instead of the paper's 10 Mbps wire.  Each leg reports simulated
+messages/s, wire bytes (the hub's ``bytes_transmitted`` counter),
+batches, journal records and wall time.  ``sim_s`` runs from the first
+send to the simulated instant of the last delivery, stamped in the
+delivery callback, so it is not rounded up to a settle step.
 
-- >= 3x messages/s at 64-peer fanout with batching on vs off,
-- <= 1.05x per-message cost at single-peer scale (no regression), and
-- with the WAL on (group commit), batched throughput still beats
-  unbatched while appending strictly fewer journal records.
+A WAL leg re-runs the 8-peer and 1-peer fanouts under group commit; on
+one peer, consecutive spool appends fold into growing ``spool-batch``
+records.
 
-Bytes on wire come from the hub's ``bytes_transmitted`` counter: shared
-batch framing also shrinks the per-envelope header overhead.
-
-The codec matrix (PR 7) re-runs the 64-peer fanout with *structured*
-payloads -- dicts whose wire cost is their canonical-JSON length, the
-honest model for telemetry-style traffic -- across three legs: JSON
-stop-and-wait (the pre-PR 5 baseline), JSON batched (PR 5), and the
-binary codec with load-adaptive batching.  Asserted: codec wire bytes
-<= 0.25x the stop-and-wait baseline and >= 1.5x messages/s over JSON
-batched.  A 1-peer low-load run measures per-message delivery latency
-(p50/p99, simulated clock) with the codec off and on -- the codec must
-not tax the quiet path it was not built for.
+The codec matrix re-runs the 64-peer fanout with *structured* payloads
+-- dicts whose wire cost is their canonical-JSON length, the honest
+model for telemetry-style traffic -- as JSON frames and as binary codec
+frames.  Asserted: the codec delivers >= 1.5x messages/s over JSON and
+its adaptive batching engaged.  A 1-peer low-load run measures
+per-message delivery latency (p50/p99, simulated clock) with the codec
+off and on -- the codec must not tax the quiet path it was not built
+for.
 """
 
 from __future__ import annotations
@@ -45,8 +42,8 @@ MESSAGE_BYTES = 120
 PEER_COUNTS = (1, 8, 64)
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_dataplane.json"
 
-#: The paper's 10 Mbps hub wire-binds both sender variants; a gigabit
-#: LAN exposes the host-side costs that batching actually amortizes.
+#: The paper's 10 Mbps hub wire-binds the sender; a gigabit LAN exposes
+#: the host-side costs that batching actually amortizes.
 FAST_LAN = DEFAULT.with_overrides(
     network=replace(DEFAULT.network, ethernet_bandwidth_bps=1_000_000_000.0)
 )
@@ -67,34 +64,32 @@ def structured_payload(index: int) -> dict:
     }
 
 
-def run_fanout(peers: int, batching: bool, structured: bool = False,
-               **runtime_kwargs) -> dict:
-    """Deliver one burst to ``peers`` runtimes; measure simulated time."""
+def run_fanout(peers: int, structured: bool = False, **runtime_kwargs) -> dict:
+    """Deliver one burst to ``peers`` runtimes; measure simulated time to
+    the last delivery."""
     hosts = ["h0"] + [f"p{i}" for i in range(peers)]
     bed = build_testbed(calibration=FAST_LAN, hosts=hosts)
     bed.network.trace.enabled = False  # measure the guarded fast path
     codec = bool(runtime_kwargs.get("codec_enabled"))
-    producer = bed.add_runtime(
-        "h0",
-        calibration=FAST_LAN,
-        batching_enabled=batching,
-        **runtime_kwargs,
-    )
+    producer = bed.add_runtime("h0", calibration=FAST_LAN, **runtime_kwargs)
     producer.transport.SPOOL_CAPACITY = MESSAGES + 64
     source = Translator("feed", role="sensor")
     out = source.add_digital_output("data-out", "text/plain")
     producer.register_translator(source)
     received = []
+    last_delivery = [0.0]
+
+    def deliver(message):
+        received.append(message)
+        last_delivery[0] = bed.kernel.now
+
     sinks = []
     for index in range(peers):
         runtime = bed.add_runtime(
-            f"p{index}",
-            calibration=FAST_LAN,
-            batching_enabled=batching,
-            codec_enabled=codec,
+            f"p{index}", calibration=FAST_LAN, codec_enabled=codec
         )
         sink = Translator(f"display-{index}", role="display")
-        sink.add_digital_input("data-in", "text/plain", received.append)
+        sink.add_digital_input("data-in", "text/plain", deliver)
         runtime.register_translator(sink)
         sinks.append(sink)
     bed.settle(2.0)
@@ -114,8 +109,6 @@ def run_fanout(peers: int, batching: bool, structured: bool = False,
             out.send(UMessage("text/plain", structured_payload(index)))
         else:
             out.send(UMessage("text/plain", f"m{index}", MESSAGE_BYTES))
-    # Fine-grained settle steps keep the sim-time quantization error well
-    # under the per-variant difference being measured.
     stalled_steps = 0
     while len(received) < expected:
         before = len(received)
@@ -125,12 +118,12 @@ def run_fanout(peers: int, batching: bool, structured: bool = False,
             if stalled_steps >= 200:  # 10 simulated seconds of silence
                 raise AssertionError(
                     f"stalled at {len(received)}/{expected} deliveries "
-                    f"(peers={peers}, batching={batching})"
+                    f"(peers={peers}, {runtime_kwargs})"
                 )
         else:
             stalled_steps = 0
     wall_s = time.perf_counter() - start_wall
-    sim_s = bed.kernel.now - start_sim
+    sim_s = last_delivery[0] - start_sim
     return {
         "peers": peers,
         "messages": expected,
@@ -148,35 +141,21 @@ def run_fanout(peers: int, batching: bool, structured: bool = False,
 
 
 def bench_fanout_matrix() -> dict:
-    matrix = {}
-    for peers in PEER_COUNTS:
-        off = run_fanout(peers, batching=False)
-        on = run_fanout(peers, batching=True)
-        matrix[str(peers)] = {
-            "off": off,
-            "on": on,
-            "speedup": round(off["sim_s"] / on["sim_s"], 2),
-            "wire_bytes_ratio": round(
-                on["wire_bytes"] / off["wire_bytes"], 3
-            ),
-        }
-    return matrix
+    return {str(peers): run_fanout(peers) for peers in PEER_COUNTS}
 
 
 def bench_codec_matrix() -> dict:
-    """64-peer fanout with structured payloads: JSON stop-and-wait vs JSON
-    batched (PR 5) vs binary codec + adaptive batching."""
-    stop_and_wait = run_fanout(64, batching=False, structured=True)
-    batched = run_fanout(64, batching=True, structured=True)
-    adaptive = run_fanout(64, batching=True, structured=True, codec_enabled=True)
+    """64-peer fanout with structured payloads: JSON frames vs binary
+    codec frames."""
+    json_frames = run_fanout(64, structured=True)
+    codec = run_fanout(64, structured=True, codec_enabled=True)
     return {
-        "stop_and_wait": stop_and_wait,
-        "batched": batched,
-        "codec_adaptive": adaptive,
-        "wire_bytes_vs_stop_and_wait": round(
-            adaptive["wire_bytes"] / stop_and_wait["wire_bytes"], 3
+        "json": json_frames,
+        "codec": codec,
+        "speedup_vs_json": round(json_frames["sim_s"] / codec["sim_s"], 2),
+        "wire_bytes_vs_json": round(
+            codec["wire_bytes"] / json_frames["wire_bytes"], 3
         ),
-        "speedup_vs_batched": round(batched["sim_s"] / adaptive["sim_s"], 2),
     }
 
 
@@ -195,7 +174,7 @@ def run_latency(codec: bool) -> dict:
     latency on the simulated clock."""
     bed = build_testbed(calibration=FAST_LAN, hosts=["h0", "p0"])
     bed.network.trace.enabled = False
-    kwargs = dict(calibration=FAST_LAN, batching_enabled=True, codec_enabled=codec)
+    kwargs = dict(calibration=FAST_LAN, codec_enabled=codec)
     producer = bed.add_runtime("h0", **kwargs)
     consumer = bed.add_runtime("p0", **kwargs)
     source = Translator("feed", role="sensor")
@@ -236,37 +215,29 @@ def bench_latency_pair() -> dict:
     }
 
 
-def bench_wal_pair() -> dict:
-    """PR 4 baseline: WAL on with group commit, 8-peer fanout.
+def bench_wal() -> dict:
+    """WAL on with group commit.
 
     Fan-out interleaves the eight peers' spool appends, so record folding
-    cannot engage there (the counted acks carry the whole record saving);
-    a single-peer run shows the fold path, where consecutive same-peer
+    cannot engage there (the counted acks carry the record saving); a
+    single-peer run shows the fold path, where consecutive same-peer
     spools collapse into growing ``spool-batch`` records.
     """
-    off = run_fanout(8, batching=False, fsync_interval=0.05)
-    on = run_fanout(8, batching=True, fsync_interval=0.05)
-    single = run_fanout(1, batching=True, fsync_interval=0.05)
     return {
-        "off": off,
-        "on": on,
-        "single_peer_on": single,
-        "speedup": round(off["sim_s"] / on["sim_s"], 2),
-        "journal_records_ratio": round(
-            on["journal_records"] / off["journal_records"], 3
-        ),
+        "fanout_8": run_fanout(8, fsync_interval=0.05),
+        "single_peer": run_fanout(1, fsync_interval=0.05),
     }
 
 
 def test_dataplane_throughput(compare):
     matrix = bench_fanout_matrix()
-    wal = bench_wal_pair()
+    wal = bench_wal()
     codec = bench_codec_matrix()
     latency = bench_latency_pair()
 
     results = {
         "benchmark": "dataplane_throughput",
-        "schema": 2,
+        "schema": 3,
         "messages_per_run": MESSAGES,
         "message_bytes": MESSAGE_BYTES,
         "fanout": matrix,
@@ -276,68 +247,34 @@ def test_dataplane_throughput(compare):
     }
     OUTPUT.write_text(json.dumps(results, indent=2) + "\n")
 
-    rows = []
-    for peers in PEER_COUNTS:
-        cell = matrix[str(peers)]
-        rows.append(
-            [
-                peers,
-                cell["off"]["msgs_per_sim_s"],
-                cell["on"]["msgs_per_sim_s"],
-                cell["speedup"],
-                cell["wire_bytes_ratio"],
-            ]
-        )
-    compare(
-        "Batched vs unbatched peer senders (1 Gbps LAN, 1k-message burst)",
-        ["peers", "msgs/s off", "msgs/s on", "speedup", "wire bytes ratio"],
-        rows,
-    )
-    compare(
-        "WAL on (group commit, 8 peers): batched sender vs PR 4 baseline",
-        ["variant", "msgs/s", "journal records", "spool folds"],
-        [
-            [
-                "unbatched",
-                wal["off"]["msgs_per_sim_s"],
-                wal["off"]["journal_records"],
-                wal["off"]["spool_folds"],
-            ],
-            [
-                "batched",
-                wal["on"]["msgs_per_sim_s"],
-                wal["on"]["journal_records"],
-                wal["on"]["spool_folds"],
-            ],
-        ],
-    )
+    def row(label, leg):
+        return [
+            label,
+            leg["msgs_per_sim_s"],
+            leg["wire_bytes"],
+            leg["batches_sent"],
+            leg["journal_records"],
+            leg["spool_folds"],
+            leg["batch_adaptations"],
+            leg["wall_s"],
+        ]
 
+    headers = ["leg", "msgs/s", "wire bytes", "batches", "journal records",
+               "spool folds", "adaptations", "wall s"]
     compare(
-        "Binary codec + adaptive batching (64 peers, structured payloads)",
-        ["variant", "msgs/s", "wire bytes", "frames", "adaptations"],
-        [
-            [
-                "JSON stop-and-wait",
-                codec["stop_and_wait"]["msgs_per_sim_s"],
-                codec["stop_and_wait"]["wire_bytes"],
-                0,
-                0,
-            ],
-            [
-                "JSON batched",
-                codec["batched"]["msgs_per_sim_s"],
-                codec["batched"]["wire_bytes"],
-                codec["batched"]["batches_sent"],
-                0,
-            ],
-            [
-                "codec adaptive",
-                codec["codec_adaptive"]["msgs_per_sim_s"],
-                codec["codec_adaptive"]["wire_bytes"],
-                codec["codec_adaptive"]["batches_sent"],
-                codec["codec_adaptive"]["batch_adaptations"],
-            ],
-        ],
+        "Batched peer senders (1 Gbps LAN, 1k-message burst)",
+        headers,
+        [row(f"{peers} peers", matrix[str(peers)]) for peers in PEER_COUNTS],
+    )
+    compare(
+        "WAL on (group commit)",
+        headers,
+        [row("8 peers", wal["fanout_8"]), row("1 peer", wal["single_peer"])],
+    )
+    compare(
+        "Binary codec vs JSON frames (64 peers, structured payloads)",
+        headers,
+        [row("JSON", codec["json"]), row("codec", codec["codec"])],
     )
     compare(
         "Per-message delivery latency (1 peer, low load, simulated ms)",
@@ -348,27 +285,11 @@ def test_dataplane_throughput(compare):
         ],
     )
 
-    # Acceptance: >= 3x throughput at 64-peer fanout.
-    assert matrix["64"]["speedup"] >= 3.0, matrix["64"]
-    # Acceptance: no regression at single-peer scale (<= 1.05x cost).
-    assert matrix["1"]["on"]["sim_s"] <= 1.05 * matrix["1"]["off"]["sim_s"], (
-        matrix["1"]
-    )
-    # Batch framing also saves wire bytes at every scale.
-    for peers in PEER_COUNTS:
-        assert matrix[str(peers)]["wire_bytes_ratio"] < 1.0, peers
-    # Acceptance: WAL-on batched beats WAL-on unbatched, with strictly
-    # fewer journal records (counted acks + folded spool-batch runs).
-    assert wal["speedup"] > 1.0, wal
-    assert wal["on"]["journal_records"] < wal["off"]["journal_records"], wal
     # Folding engages on consecutive same-peer spool runs (single peer).
-    assert wal["single_peer_on"]["spool_folds"] > 0, wal
-    # Acceptance (PR 7): the binary codec with adaptive batching cuts
-    # wire bytes to <= 0.25x the JSON stop-and-wait baseline ...
-    assert codec["wire_bytes_vs_stop_and_wait"] <= 0.25, codec
-    # ... and delivers >= 1.5x messages/s over the PR 5 batched sender.
-    assert codec["speedup_vs_batched"] >= 1.5, codec
-    # The adaptive controller actually engaged under the burst backlog.
-    assert codec["codec_adaptive"]["batch_adaptations"] > 0, codec
-    # Acceptance (PR 7): no p99 latency regression at 1-peer low load.
+    assert wal["single_peer"]["spool_folds"] > 0, wal
+    # The binary codec delivers >= 1.5x messages/s over JSON frames ...
+    assert codec["speedup_vs_json"] >= 1.5, codec
+    # ... and the adaptive controller engaged under the burst backlog.
+    assert codec["codec"]["batch_adaptations"] > 0, codec
+    # No p99 latency regression at 1-peer low load.
     assert latency["p99_ratio"] <= 1.05, latency

@@ -217,26 +217,6 @@ def _object_parts(fields: Dict[str, List[bytes]]) -> List[bytes]:
     return parts + [b"}"] if parts else [b"{}"]
 
 
-def _spool_record(lsn: int, data: dict) -> Tuple[bytes, bytes]:
-    """A ``spool`` record and its entry's encoding, from one envelope
-    encode.  The literal layout is ``encode_record``'s key order."""
-    envelope = canonical_json(data["envelope"])
-    size = data["size"]
-    # An int is its own JSON; the encoder's per-call setup costs more.
-    size = b"%d" % size if type(size) is int else canonical_json(size)
-    record = _frame([
-        b'{"data":{"envelope":', envelope,
-        b',"peer":', canonical_json(data["peer"]),
-        b',"size":', size,
-        b'},"kind":"spool","lsn":%d}' % lsn,
-    ])
-    return b"[%s,%s]" % (envelope, size), record
-
-
-#: The exact data keys of a ``spool`` record, laid out by _spool_record.
-_SPOOL_KEYS = frozenset(("envelope", "peer", "size"))
-
-
 def _decode_line(line: bytes) -> Optional[dict]:
     """Parse one framed record; None on any structural or checksum fault."""
     if len(line) < 10 or line[8:9] != b" ":
@@ -452,19 +432,12 @@ class Journal:
         # Encode before committing the LSN: a non-serializable payload must
         # raise without leaving a gap in the sequence chain.
         lsn = self._lsn + 1
-        entry = None
-        if kind == "spool" and not self.binary and data.keys() == _SPOOL_KEYS:
-            entry, record = _spool_record(lsn, data)
-        else:
-            record = encode_record(lsn, kind, data, self.binary)
+        record = encode_record(lsn, kind, data, self.binary)
         self._lsn = lsn
         self._pending += record
         self._pending_tail = record
         self.records_appended += 1
-        if entry is None:
-            self._apply_to_mirror(kind, data)
-        else:
-            self._keep(data["peer"], data["envelope"], data["size"], entry)
+        self._apply_to_mirror(kind, data)
         self._appended(len(record))
 
     def _appended(self, nbytes: int) -> None:
@@ -493,7 +466,7 @@ class Journal:
         if self._encoded and kind in ("spool-ack", "spool-drop", "spool-flush"):
             entries = self._mirror.spool.get(data["peer"]) or ()
             if kind == "spool-ack":
-                leaving = entries[: max(int(data.get("count", 1)), 0)]
+                leaving = entries[: max(int(data["count"]), 0)]
             elif kind == "spool-drop":
                 leaving = entries[:1]
             else:
@@ -511,8 +484,7 @@ class Journal:
         counts per message drop at high rates.  Each entry is encoded once,
         here; the record is framed when the fold ends, so a fold of N
         entries costs N entry encodes rather than N growing re-encodes.
-        Durability is unchanged: the entry rides the same pending buffer
-        the equivalent ``spool`` record would, and with
+        The entry rides the pending buffer like any other record, and with
         ``fsync_interval=0`` every batch record is flushed holding exactly
         one entry.  Raises :class:`TypeError` (before mutating any state)
         when the envelope is not representable, like :meth:`append`.
@@ -560,6 +532,9 @@ class Journal:
                 b'],"peer":', canonical_json(fold["peer"]),
                 b'},"kind":"spool-batch","lsn":%d}' % fold["lsn"],
             ])
+        # The fold accounted its entries as they arrived; charge the rest
+        # of the record now, so compaction sees the bytes really written.
+        self._appended_bytes += len(record) - fold["bytes"]
         self._pending += record
         self._pending_tail = record
 
@@ -761,23 +736,17 @@ class Journal:
             state.paths[data["path_id"]] = data
         elif kind == "path-close":
             state.paths.pop(data["path_id"], None)
-        elif kind == "spool":
-            Journal._apply_spool_entry(
-                state, data["peer"], data["envelope"], data["size"]
-            )
         elif kind == "spool-batch":
-            # One record covering a run of consecutive spool appends (the
-            # amortized form written by append_spool); entries stay FIFO.
+            # One record covering a run of consecutive spool appends
+            # (written by append_spool); entries stay FIFO.
             for envelope, size in data["entries"]:
                 Journal._apply_spool_entry(state, data["peer"], envelope, size)
         elif kind == "spool-ack":
             entries = state.spool.get(data["peer"])
             if entries:
-                # Per-peer delivery is FIFO: the ack pops from the head.  A
-                # batched sender acks a whole batch with one record
-                # carrying ``count``; legacy records pop exactly one.
-                count = int(data.get("count", 1))
-                del entries[: max(count, 0)]
+                # Per-peer delivery is FIFO: one record acks a whole batch
+                # of ``count`` entries from the head.
+                del entries[: max(int(data["count"]), 0)]
         elif kind == "spool-drop":
             entries = state.spool.get(data["peer"])
             if entries:

@@ -57,13 +57,11 @@ class UMiddleRuntime:
         health_enabled: bool = True,
         journal_enabled: bool = True,
         fsync_interval: float = 0.0,
-        batching_enabled: bool = False,
         sharding_enabled: bool = False,
         shard_count: int = DEFAULT_SHARD_COUNT,
         replication_factor: int = 1,
         codec_enabled: bool = False,
         compression_enabled: bool = False,
-        saga_enabled: bool = False,
     ):
         self.node = node
         self.kernel: Kernel = node.network.kernel
@@ -108,12 +106,6 @@ class UMiddleRuntime:
             on_peer_change=self._on_peer_health_changed,
         )
         self.supervisor = Supervisor(self)
-        #: Data-plane batching: the per-peer sender coalesces spooled
-        #: envelopes into pipelined batch frames and acks them with one
-        #: journal record per batch.  Off by default -- the unbatched
-        #: sender reproduces the pre-batching wire and journal behavior
-        #: byte for byte.
-        self.batching_enabled = batching_enabled
         #: Sharded directory: the namespace is rendezvous-partitioned over
         #: the federation instead of fully replicated on every node.  Off
         #: by default -- the flat replica reproduces the pre-sharding
@@ -133,10 +125,9 @@ class UMiddleRuntime:
         )
         self.directory = Directory(self, port=directory_port)
         self.transport = Transport(self, port=transport_port)
-        #: Journaled saga coordinator/participant (:mod:`repro.core.saga`).
-        #: Off by default -- a disabled manager refuses `connect_saga` and
-        #: keeps wire and journal bytes identical to a saga-free build.
-        self.sagas = SagaManager(self, enabled=saga_enabled)
+        #: Journaled saga coordinator/participant (:mod:`repro.core.saga`);
+        #: an idle manager writes nothing to the wire or the journal.
+        self.sagas = SagaManager(self)
         self.mappers: List = []
         self.translators: Dict[str, Translator] = {}
         self._bindings: List[DynamicBinding] = []
@@ -516,7 +507,7 @@ class UMiddleRuntime:
         failover) or a pinned :class:`~repro.core.profile.PortRef`.  Either
         every step's effect applies, or every applied effect is
         compensated -- never half, across warm/cold crashes and owner
-        failover.  Requires ``saga_enabled=True``.
+        failover.
         """
         return _connect_saga(
             self, actions, timeout_s=timeout_s, max_attempts=max_attempts

@@ -59,9 +59,10 @@ ENVELOPE_HEADER_BYTES = 64
 
 
 class _AdaptiveBatch:
-    """Per-peer load-adaptive batching state (codec mode only).
+    """Per-peer load-adaptive batching state.
 
-    Caps start at the PR 5 constants and move with observed backlog: they
+    Caps start at the floor constants (``Transport.BATCH_MAX_*`` and
+    ``PIPELINE_WINDOW``) and move with observed backlog: they
     grow while the outbox outruns a full pipeline window and decay back
     once the peer has been idle, so sustained throughput gets big frames
     and wide windows while a quiet peer keeps single-frame latency.
@@ -308,20 +309,22 @@ class Transport:
     #: high-water mark -- which would make it suppress *new* messages as
     #: duplicates.  One forced fsync per SEQ_RESERVE_CHUNK stamps.
     SEQ_RESERVE_CHUNK = 64
-    #: Batching mode: most envelopes coalesced into one wire frame.
+    #: Adaptive-batching floor: most envelopes coalesced into one wire
+    #: frame by an idle peer's sender.
     BATCH_MAX_ENVELOPES = 32
-    #: Batching mode: soft byte ceiling per batch frame (a single envelope
-    #: larger than this still ships, alone).
+    #: Adaptive-batching floor: soft byte ceiling per batch frame (a
+    #: single envelope larger than this still ships, alone).
     BATCH_MAX_BYTES = 8192
-    #: Batching mode: batches in flight before the sender blocks on the
-    #: stream's drain barrier; acks are journaled in order afterwards.
+    #: Adaptive-batching floor: batches in flight before the sender
+    #: blocks on the stream's drain barrier; acks are journaled in order
+    #: afterwards.
     PIPELINE_WINDOW = 4
     #: Per-envelope framing bytes inside a batch frame (length prefix +
     #: offsets), charged on top of the shared ENVELOPE_HEADER_BYTES.
     BATCH_SUBHEADER_BYTES = 8
-    #: Load-adaptive ceilings (codec mode): batch caps and the pipeline
-    #: window double under sustained backlog up to these, and decay back
-    #: to the PR 5 constants when the peer goes idle.
+    #: Load-adaptive ceilings: batch caps and the pipeline window double
+    #: under sustained backlog up to these, and decay back to the floor
+    #: constants above when the peer goes idle.
     ADAPT_MAX_ENVELOPES = 256
     ADAPT_MAX_BYTES = 65536
     ADAPT_MAX_WINDOW = 16
@@ -334,19 +337,11 @@ class Transport:
     def __init__(self, runtime: "UMiddleRuntime", port: int):
         self.runtime = runtime
         self.port = port
-        #: When True the per-peer senders run the batched + pipelined data
-        #: plane; when False they reproduce the stop-and-wait wire and
-        #: journal behavior byte for byte.
-        self.batching = bool(getattr(runtime, "batching_enabled", False))
         #: Binary wire codec: envelopes and batch frames to peers that
         #: completed the ``codec-hello`` handshake ship as interned binary
         #: frames; everything else stays canonical JSON (per-peer
         #: fallback), so mixed-version federations interoperate.
         self.codec = bool(getattr(runtime, "codec_enabled", False))
-        #: Load-adaptive batching replaces the fixed batch constants; it
-        #: rides the codec flag so the default-off data plane is PR 6
-        #: byte for byte.
-        self.adaptive = self.codec and self.batching
         #: Data-plane v3: intra-batch delta encoding and zlib block
         #: compression, negotiated per peer as a ``z`` capability bit on
         #: the codec hello/welcome.  Implies the codec (the runtime
@@ -362,7 +357,7 @@ class Transport:
         self._hello_sent: set = set()
         #: Per-peer symbol-interning encoders, reset with their stream.
         self._encoders: Dict[str, WireEncoder] = {}
-        #: Per-peer adaptive batching state (codec mode only).
+        #: Per-peer adaptive batching state.
         self._adaptive: Dict[str, _AdaptiveBatch] = {}
         self.codec_frames_sent = 0
         self.codec_fallbacks = 0
@@ -814,25 +809,18 @@ class Transport:
         ack/drop pops aligned and carries the stream sequence, but cannot
         be respooled after a cold restart).
 
-        In batching mode the record goes through the journal's amortized
+        The record goes through the journal's amortized
         :meth:`~repro.core.journal.Journal.append_spool` path, which folds
         consecutive same-peer appends still in the group-commit window
-        into one growing ``spool-batch`` record; the write-ahead point
-        (before the envelope can leave the spool) is identical."""
+        into one growing ``spool-batch`` record, written before the
+        envelope can leave the spool."""
         journal = self.runtime.journal
         if force_opaque:
             envelope = self._opaque_marker(envelope)
-        if self.batching:
-            try:
-                journal.append_spool(peer, envelope, size)
-            except TypeError:
-                journal.append_spool(peer, self._opaque_marker(envelope), size)
-            return
         try:
-            journal.append("spool", {"peer": peer, "envelope": envelope, "size": size})
+            journal.append_spool(peer, envelope, size)
         except TypeError:
-            marker = self._opaque_marker(envelope)
-            journal.append("spool", {"peer": peer, "envelope": marker, "size": size})
+            journal.append_spool(peer, self._opaque_marker(envelope), size)
 
     @staticmethod
     def _opaque_marker(envelope: dict) -> dict:
@@ -844,9 +832,8 @@ class Transport:
         }
 
     def _spawn_sender(self, runtime_id: str) -> None:
-        sender = self._peer_sender_batched if self.batching else self._peer_sender
         self._peer_senders[runtime_id] = self.runtime.kernel.process(
-            sender(runtime_id),
+            self._peer_sender_batched(runtime_id),
             name=f"peer-sender:{self.runtime.runtime_id}->{runtime_id}",
         )
 
@@ -867,8 +854,8 @@ class Transport:
         return wakeup
 
     def _record_delivery_success(self, runtime_id: str) -> None:
-        """Post-ack bookkeeping shared by both sender modes: a delivered
-        probe closes the peer's breaker, and health hears the success."""
+        """Post-ack bookkeeping: a delivered probe closes the peer's
+        breaker, and health hears the success."""
         runtime = self.runtime
         breaker = self._breakers.get(runtime_id)
         if breaker is not None and not breaker.is_closed:
@@ -884,7 +871,7 @@ class Transport:
         self, runtime_id: str, attempts: int, exc: Exception
     ) -> Tuple[int, Optional[float]]:
         """Retry/drop/breaker bookkeeping after one failed delivery
-        attempt, shared by both sender modes.
+        attempt.
 
         Returns ``(attempts, backoff_s)``; a ``None`` backoff means the
         head envelope was dropped (budget exhausted, or a failed breaker
@@ -934,29 +921,6 @@ class Transport:
             self._encoders[runtime_id] = encoder
         return encoder
 
-    def _encode_envelope(self, runtime_id: str, envelope: dict):
-        """Binary frame for one envelope, or None for the JSON fallback.
-
-        None means either the peer never completed the codec handshake
-        (mixed-version federation) or the envelope is not representable;
-        both are counted in ``codec_fallbacks``."""
-        if not self.codec:
-            return None
-        if runtime_id not in self._codec_ready:
-            self.codec_fallbacks += 1
-            return None
-        try:
-            return self._codec_encoder(runtime_id).encode_envelope(envelope)
-        except TypeError as exc:
-            self.codec_fallbacks += 1
-            if self.runtime.tracing:
-                self.runtime.trace(
-                    "codec.fallback",
-                    f"to {runtime_id}: envelope not binary-representable "
-                    f"({exc}); sent as JSON",
-                )
-            return None
-
     def _encode_batch(self, runtime_id: str, envelopes: List[dict]):
         """Binary frame for a whole batch, or None for the JSON fallback."""
         if not self.codec or runtime_id not in self._codec_ready:
@@ -1004,7 +968,7 @@ class Transport:
         - Trickling (some backlog, but less than one full batch): grow the
           flush timer so forming batches fill before shipping.
         - Drained: zero the flush timer immediately; after two
-          consecutive idle rounds decay caps/window back toward the PR 5
+          consecutive idle rounds decay caps/window back toward the floor
           constants.
         """
         changed = None
@@ -1058,87 +1022,19 @@ class Transport:
                     window=state.window,
                 )
 
-    def _peer_sender(self, runtime_id: str) -> Generator:
-        """Drains the outbox for one peer over a single stream.
-
-        Serializes envelope marshaling with TCP per-segment processing, the
-        way a single sender thread would.  Failed deliveries are retried
-        with exponential backoff; only an envelope that exhausts its
-        attempt budget is dropped, and that also reaps the peer's
-        directory entries (it is conclusively unreachable).
-        """
-        runtime = self.runtime
-        kernel = runtime.kernel
-        umiddle = runtime.calibration.umiddle
-        outbox = self._peer_outboxes[runtime_id]
-        attempts = 0
-        try:
-            while True:
-                if not outbox:
-                    yield self._park_for_outbox(runtime_id)
-                    continue
-                _rid, envelope, size = outbox[0]
-                try:
-                    stream = self._peer_streams.get(runtime_id)
-                    if stream is None or stream.closed:
-                        stream = yield from self._open_peer_stream(runtime_id)
-                    frame = self._encode_envelope(runtime_id, envelope)
-                    if frame is not None:
-                        # Binary codec: marshal cost and wire bytes both
-                        # come from the actual encoded frame.
-                        payload: object = frame
-                        wire_size = frame.wire_size
-                        cost_bytes = frame.wire_size
-                        self.codec_frames_sent += 1
-                    else:
-                        payload = envelope
-                        wire_size = size + ENVELOPE_HEADER_BYTES
-                        cost_bytes = size
-                    yield kernel.timeout(
-                        umiddle.envelope_fixed_s
-                        + umiddle.envelope_per_byte_s * cost_bytes
-                    )
-                    yield from stream.send_inline(payload, wire_size)
-                    # Only count the envelope delivered once the peer's TCP
-                    # has acknowledged it; a stream dying with data in its
-                    # send window must re-deliver, not silently drop.
-                    yield from stream.drained_wait()
-                    outbox.popleft()
-                    runtime.journal.append("spool-ack", {"peer": runtime_id})
-                    attempts = 0
-                    self.messages_relayed += 1
-                    self._record_delivery_success(runtime_id)
-                except (SocketError, TransportError) as exc:
-                    attempts, backoff = self._handle_send_failure(
-                        runtime_id, attempts, exc
-                    )
-                    if backoff is not None:
-                        yield kernel.timeout(backoff)
-        finally:
-            # Only deregister ourselves: a crash may already have installed
-            # a successor sender for this peer, and GC finalization (where
-            # no process is active) must not touch the table at all.
-            current = self._peer_senders.get(runtime_id)
-            if current is not None and current is kernel.active_process:
-                del self._peer_senders[runtime_id]
-
     def _form_batch(
         self,
         outbox: Deque[Tuple[str, dict, int]],
         start: int,
-        max_envelopes: Optional[int] = None,
-        max_bytes: Optional[int] = None,
+        max_envelopes: int,
+        max_bytes: int,
     ) -> List[Tuple[str, dict, int]]:
-        """Copy up to ``max_envelopes``/``max_bytes`` head entries (the PR 5
-        constants unless adaptive batching supplies live caps) beginning at
-        ``start`` (entries before it are already staged in an in-flight
-        batch).  The outbox is only *peeked*: entries are popped at ack
-        time, so the journal's FIFO view and the in-memory spool stay
-        aligned even if the sender dies mid-flight."""
-        if max_envelopes is None:
-            max_envelopes = self.BATCH_MAX_ENVELOPES
-        if max_bytes is None:
-            max_bytes = self.BATCH_MAX_BYTES
+        """Copy up to ``max_envelopes``/``max_bytes`` head entries (the
+        adaptive batching state's live caps) beginning at ``start``
+        (entries before it are already staged in an in-flight batch).  The
+        outbox is only *peeked*: entries are popped at ack time, so the
+        journal's FIFO view and the in-memory spool stay aligned even if
+        the sender dies mid-flight."""
         batch: List[Tuple[str, dict, int]] = []
         total = 0
         for entry in itertools.islice(outbox, start, None):
@@ -1153,7 +1049,7 @@ class Transport:
         self,
         stream: StreamSocket,
         batch: List[Tuple[str, dict, int]],
-        runtime_id: Optional[str] = None,
+        runtime_id: str,
     ) -> Generator:
         """Marshal and transmit one coalesced batch frame.
 
@@ -1169,11 +1065,7 @@ class Transport:
         for _rid, envelope, size in batch:
             envelopes.append(envelope)
             total += size
-        binary = (
-            self._encode_batch(runtime_id, envelopes)
-            if runtime_id is not None and self.codec
-            else None
-        )
+        binary = self._encode_batch(runtime_id, envelopes)
         if binary is not None:
             frame: object = binary
             wire_size = binary.wire_size
@@ -1194,31 +1086,31 @@ class Transport:
         self.batches_sent += 1
 
     def _peer_sender_batched(self, runtime_id: str) -> Generator:
-        """Batched + pipelined variant of :meth:`_peer_sender`.
+        """Drains the outbox for one peer over a single stream, batched
+        and pipelined.
 
         Peeks runs of outbox entries into coalesced batch frames, keeps up
-        to PIPELINE_WINDOW batches in flight, then blocks once on the
-        stream's drain barrier and acks every in-flight batch in order --
-        one journaled ``spool-ack {count: k}`` per batch.  Because the
+        to the adaptive window of batches in flight, then blocks once on
+        the stream's drain barrier and acks every in-flight batch in order
+        -- one journaled ``spool-ack {count: k}`` per batch.  Because the
         outbox is peeked (not popped) until the barrier, a crash at any
         point leaves the journal and the spool aligned: replay respools
         exactly the unacked suffix, and the receiver's dedup window
-        suppresses whatever the wire already delivered."""
+        suppresses whatever the wire already delivered.  Failed deliveries
+        are retried with exponential backoff; only an envelope that
+        exhausts its attempt budget is dropped, and that also reaps the
+        peer's directory entries (it is conclusively unreachable)."""
         runtime = self.runtime
         kernel = runtime.kernel
         outbox = self._peer_outboxes[runtime_id]
-        adapt = self._adaptive_state(runtime_id) if self.adaptive else None
+        adapt = self._adaptive_state(runtime_id)
         attempts = 0
         try:
             while True:
                 if not outbox:
                     yield self._park_for_outbox(runtime_id)
                     continue
-                if (
-                    adapt is not None
-                    and adapt.flush_delay_s > 0.0
-                    and len(outbox) < adapt.max_envelopes
-                ):
+                if adapt.flush_delay_s > 0.0 and len(outbox) < adapt.max_envelopes:
                     # A hot producer keeps trickling: wait briefly so the
                     # forming batch fills instead of shipping underfull.
                     # The delay is zero whenever the peer recently drained,
@@ -1228,20 +1120,12 @@ class Transport:
                     stream = self._peer_streams.get(runtime_id)
                     if stream is None or stream.closed:
                         stream = yield from self._open_peer_stream(runtime_id)
-                    if adapt is not None:
-                        window = adapt.window
-                        max_envelopes = adapt.max_envelopes
-                        max_bytes = adapt.max_bytes
-                    else:
-                        window = self.PIPELINE_WINDOW
-                        max_envelopes = self.BATCH_MAX_ENVELOPES
-                        max_bytes = self.BATCH_MAX_BYTES
                     inflight: List[int] = []
                     staged = 0
                     while staged < len(outbox) or inflight:
-                        while staged < len(outbox) and len(inflight) < window:
+                        while staged < len(outbox) and len(inflight) < adapt.window:
                             batch = self._form_batch(
-                                outbox, staged, max_envelopes, max_bytes
+                                outbox, staged, adapt.max_envelopes, adapt.max_bytes
                             )
                             if not batch:
                                 break
@@ -1252,23 +1136,20 @@ class Transport:
                         # acknowledged together, then journaled per batch.
                         yield from stream.drained_wait()
                         for count in inflight:
-                            acked = 0
-                            while acked < count and outbox:
-                                outbox.popleft()
-                                acked += 1
+                            for _ in range(min(count, len(outbox))):
+                                # Control envelopes (connect, codec
+                                # handshakes, sagas) are not relayed
+                                # messages.
+                                if outbox.popleft()[1].get("kind") == "message":
+                                    self.messages_relayed += 1
                             runtime.journal.append(
                                 "spool-ack", {"count": count, "peer": runtime_id}
                             )
-                            self.messages_relayed += acked
                         inflight.clear()
                         staged = 0
                         attempts = 0
                         self._record_delivery_success(runtime_id)
-                        if adapt is not None:
-                            self._adapt_batching(runtime_id, adapt, len(outbox))
-                            window = adapt.window
-                            max_envelopes = adapt.max_envelopes
-                            max_bytes = adapt.max_bytes
+                        self._adapt_batching(runtime_id, adapt, len(outbox))
                 except (SocketError, TransportError) as exc:
                     # In-flight entries were never popped; they are still
                     # the head of the outbox (and of the journal's FIFO),
@@ -1407,41 +1288,27 @@ class Transport:
                     )
                     continue
             kind = envelope.get("kind")
-            if kind == "batch":
-                # One unmarshal cost for the whole coalesced frame, then
-                # each inner envelope is deduped and dispatched normally.
-                # Binary frames charge their actual received bytes; JSON
-                # frames keep the declared-payload accounting.
-                inner_envelopes = envelope.get("envelopes", ())
-                total = (
-                    _wire_size
-                    if binary
-                    else sum(e.get("size", 0) for e in inner_envelopes)
+            if kind != "batch":
+                # Peer senders ship batch frames only.
+                runtime.trace(
+                    "transport.protocol-error", f"unbatched frame kind {kind!r}"
                 )
-                yield kernel.timeout(
-                    umiddle.envelope_fixed_s + umiddle.envelope_per_byte_s * total
-                )
-                for inner in inner_envelopes:
-                    self._handle_envelope(inner)
                 continue
-            origin = envelope.get("origin")
-            stream_key = envelope.get("stream")
-            seq = envelope.get("seq")
-            if (
-                origin is not None
-                and stream_key is not None
-                and isinstance(seq, int)
-                and self._is_duplicate(origin, stream_key, seq)
-            ):
-                continue
-            if kind == "message":
-                size = _wire_size if binary else envelope["size"]
-                yield kernel.timeout(
-                    umiddle.envelope_fixed_s + umiddle.envelope_per_byte_s * size
-                )
-                self._deliver_envelope(envelope)
-            else:
-                self._handle_control_envelope(kind, envelope)
+            # One unmarshal cost for the whole coalesced frame, then each
+            # inner envelope is deduped and dispatched normally.  Binary
+            # frames charge their actual received bytes; JSON frames keep
+            # the declared-payload accounting.
+            inner_envelopes = envelope.get("envelopes", ())
+            total = (
+                _wire_size
+                if binary
+                else sum(e.get("size", 0) for e in inner_envelopes)
+            )
+            yield kernel.timeout(
+                umiddle.envelope_fixed_s + umiddle.envelope_per_byte_s * total
+            )
+            for inner in inner_envelopes:
+                self._handle_envelope(inner)
 
     def _handle_envelope(self, envelope: dict) -> None:
         """Dedup and dispatch one envelope unpacked from a batch frame

@@ -408,6 +408,26 @@ class StreamListener:
             self.costs.tcp_handshake_processing_s,
             lambda: self.node.send_frame(reply),
         )
+
+        def probe(attempt: int) -> None:
+            # Resend the SYN-ACK until the client is heard from.  A client
+            # that already gave up on the handshake answers with an RST,
+            # which tears down this half-open stream instead of leaving
+            # the application blocked on it forever.  The budget spans the
+            # client's own SYN window and as many probes again after it.
+            if stream.closed or stream._peer_heard:
+                return
+            if attempt >= 2 * StreamSocket.MAX_SYN_ATTEMPTS:
+                return
+            try:
+                self.node.send_frame(reply)
+            except NetworkError:
+                return  # no route back to the client any more
+            self.kernel.call_later(
+                StreamSocket.SYN_INTERVAL, lambda: probe(attempt + 1)
+            )
+
+        self.kernel.call_later(StreamSocket.SYN_INTERVAL, lambda: probe(0))
         if self._waiters:
             self._waiters.popleft().succeed(stream)
         else:
@@ -475,6 +495,8 @@ class StreamSocket:
         self.connected = connected
         self.closed = False
         self._connect_event: Optional[Event] = None
+        #: True once any frame from the peer arrived on this stream.
+        self._peer_heard = False
 
         # Sender state.
         self._send_queue: Deque[_Segment] = deque()
@@ -711,6 +733,7 @@ class StreamSocket:
     # -- frame handling --------------------------------------------------------------
 
     def _handle_frame(self, frame: Frame) -> None:
+        self._peer_heard = True
         kind = frame.metadata.get("kind")
         if kind == "syn-ack":
             if not self.connected:

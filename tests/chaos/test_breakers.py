@@ -16,10 +16,6 @@ from repro.core.translator import Translator
 from repro.testbed import build_testbed
 
 CRASH_AT = 2.0
-#: CHAOS_BATCHING=1 drives the breaker lifecycle through the batched +
-#: pipelined peer senders; trip/probe/close semantics must be identical.
-BATCHING = os.environ.get("CHAOS_BATCHING", "0") == "1"
-
 #: CHAOS_SHARDED=1 drives the breaker lifecycle with the rendezvous-
 #: sharded directory in the loop.
 SHARDED = os.environ.get("CHAOS_SHARDED", "0") == "1"
@@ -52,8 +48,8 @@ def drip(bed, out, count, interval=0.5):
 def crash_pair(restart_after):
     """Source on r1 query-bound to a sink on r2; r2 crashes at CRASH_AT."""
     bed = build_testbed(hosts=["h1", "h2"])
-    r1 = bed.add_runtime("h1", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
-    r2 = bed.add_runtime("h2", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+    r1 = bed.add_runtime("h1", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+    r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
 
     received = []
     sink = Translator("display", role="display")
@@ -126,13 +122,13 @@ def failover_triple(health_enabled):
     matching sink.  r2 (the initially-bound target) crashes for good."""
     bed = build_testbed(hosts=["h1", "h2", "h3"])
     r1 = bed.add_runtime(
-        "h1", health_enabled=health_enabled, batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION
+        "h1", health_enabled=health_enabled, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION
     )
     r2 = bed.add_runtime(
-        "h2", health_enabled=health_enabled, batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION
+        "h2", health_enabled=health_enabled, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION
     )
     r3 = bed.add_runtime(
-        "h3", health_enabled=health_enabled, batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION
+        "h3", health_enabled=health_enabled, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION
     )
 
     received = []

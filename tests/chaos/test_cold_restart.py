@@ -23,19 +23,14 @@ from repro.testbed import build_testbed
 
 SEEDS = [7, 23, 101]
 
-#: CHAOS_BATCHING=1 re-runs every scenario with the batched + pipelined
-#: peer senders (counted spool-acks, folded spool-batch records); all
-#: crash-consistency invariants must hold identically in both modes.
-BATCHING = os.environ.get("CHAOS_BATCHING", "0") == "1"
-
 #: CHAOS_SHARDED=1 re-runs every crash-consistency scenario with the
 #: rendezvous-sharded directory: shard placements and ownership ride
 #: the same journal and must recover just as exactly.
 SHARDED = os.environ.get("CHAOS_SHARDED", "0") == "1"
 
-#: CHAOS_CODEC=1 re-runs every scenario with the binary wire codec +
-#: load-adaptive batching active on every runtime (binary envelopes,
-#: batch frames, gossip bodies, and WAL record bodies).
+#: CHAOS_CODEC=1 re-runs every scenario with the binary wire codec
+#: active on every runtime (binary envelopes, batch frames, gossip
+#: bodies, and WAL record bodies).
 CODEC = os.environ.get("CHAOS_CODEC", "0") == "1"
 
 #: CHAOS_COMPRESSION=1 re-runs every scenario with the opt-in data-plane
@@ -85,13 +80,12 @@ def path_shape(runtime):
 
 class TestColdRestart:
     def build(self, **kwargs):
-        kwargs.setdefault("batching_enabled", BATCHING)
         kwargs.setdefault("sharding_enabled", SHARDED)
         kwargs.setdefault("codec_enabled", CODEC)
         kwargs.setdefault("compression_enabled", COMPRESSION)
         bed = build_testbed(hosts=["h1", "h2"])
         r1 = bed.add_runtime("h1", **kwargs)
-        r2 = bed.add_runtime("h2", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
         received = []
         sink = Translator("display-0", role="display")
         sink.add_digital_input("data-in", "text/plain", received.append)
@@ -286,8 +280,8 @@ class TestSeededEquivalence:
     def build_population(self, seed):
         rng = random.Random(seed)
         bed = build_testbed(hosts=["h1", "h2"])
-        r1 = bed.add_runtime("h1", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
-        r2 = bed.add_runtime("h2", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r1 = bed.add_runtime("h1", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
         for index in range(rng.randrange(4, 9)):
             translator = Translator(
                 f"svc-{seed}-{index}", role=rng.choice(ROLES)
@@ -338,8 +332,8 @@ class TestSeededEquivalence:
 class TestExactlyOnce:
     def build_pipeline(self):
         bed = build_testbed(hosts=["h1", "h2"])
-        r1 = bed.add_runtime("h1", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
-        r2 = bed.add_runtime("h2", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r1 = bed.add_runtime("h1", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
         received = []
         sink = Translator("display-0", role="display")
         sink.add_digital_input("data-in", "text/plain", received.append)
@@ -388,9 +382,9 @@ class TestExactlyOnce:
         never be mistaken for duplicates of reused sequence numbers."""
         bed = build_testbed(hosts=["h1", "h2"])
         r1 = bed.add_runtime(
-            "h1", fsync_interval=5.0, batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION
+            "h1", fsync_interval=5.0, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION
         )
-        r2 = bed.add_runtime("h2", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
         received = []
         sink = Translator("display-0", role="display")
         sink.add_digital_input("data-in", "text/plain", received.append)
@@ -456,9 +450,9 @@ class TestExactlyOnce:
         from stable storage."""
         bed = build_testbed(hosts=["h1", "h2"])
         r1 = bed.add_runtime(
-            "h1", journal_enabled=False, batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION
+            "h1", journal_enabled=False, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION
         )
-        r2 = bed.add_runtime("h2", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
         received = []
         sink = Translator("display-0", role="display")
         sink.add_digital_input("data-in", "text/plain", received.append)
@@ -491,9 +485,9 @@ class TestExactlyOnce:
         but dedup keys on per-(sender, path) envelope sequences, so no
         cross-runtime message is ever mistaken for a duplicate."""
         bed = build_testbed(hosts=["h1", "h2", "h3"])
-        r1 = bed.add_runtime("h1", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
-        r2 = bed.add_runtime("h2", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
-        r3 = bed.add_runtime("h3", batching_enabled=BATCHING, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r1 = bed.add_runtime("h1", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r3 = bed.add_runtime("h3", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
         received = []
         sink = Translator("display-0", role="display")
         sink.add_digital_input("data-in", "text/plain", received.append)
@@ -526,14 +520,14 @@ class TestExactlyOnce:
 
 
 class TestBatchedDurability:
-    """Batching on: batch frames, counted ``spool-ack`` records and folded
-    ``spool-batch`` records must preserve the exactly-once and durable-FIFO
-    guarantees of the unbatched journal across cold crashes."""
+    """Batch frames, counted ``spool-ack`` records and folded
+    ``spool-batch`` records must preserve the exactly-once and
+    durable-FIFO guarantees across cold crashes."""
 
     def build_pipeline(self, **kwargs):
         bed = build_testbed(hosts=["h1", "h2"])
-        r1 = bed.add_runtime("h1", batching_enabled=True, **kwargs)
-        r2 = bed.add_runtime("h2", batching_enabled=True)
+        r1 = bed.add_runtime("h1", **kwargs)
+        r2 = bed.add_runtime("h2")
         received = []
         sink = Translator("display-0", role="display")
         sink.add_digital_input("data-in", "text/plain", received.append)
@@ -639,13 +633,12 @@ class TestBatchedDurability:
     def test_both_modes_agree_on_recovered_state(self):
         """The same spool-crash-recover scenario leaves identical durable
         outcomes (respool count, delivered payloads) whether the journal
-        wrote per-envelope ``spool`` records or folded ``spool-batch``
-        runs with counted acks."""
+        wrote canonical-JSON or binary-codec record bodies."""
         outcomes = {}
         for mode in (False, True):
             bed = build_testbed(hosts=["h1", "h2"])
-            r1 = bed.add_runtime("h1", batching_enabled=mode)
-            r2 = bed.add_runtime("h2", batching_enabled=mode)
+            r1 = bed.add_runtime("h1", codec_enabled=mode)
+            r2 = bed.add_runtime("h2", codec_enabled=mode)
             received = []
             sink = Translator("display-0", role="display")
             sink.add_digital_input("data-in", "text/plain", received.append)
@@ -666,3 +659,4 @@ class TestBatchedDurability:
             bed.settle(30.0)
             outcomes[mode] = (respooled, [m.payload for m in received])
         assert outcomes[False] == outcomes[True]
+        assert outcomes[True] == (8, [f"m{i}" for i in range(8)])

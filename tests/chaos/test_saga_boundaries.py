@@ -13,8 +13,8 @@ original participant comes back.
 
 ``CHAOS_SEED`` salts the workload (token names and saga ids feed the
 jittered backoff seeds), so the CI matrix sweeps the boundaries under
-multiple seeds; ``CHAOS_BATCHING`` / ``CHAOS_SHARDED`` / ``CHAOS_CODEC``
-re-run the sweep on those transport/directory variants.
+multiple seeds; ``CHAOS_SHARDED`` / ``CHAOS_CODEC`` / ``CHAOS_COMPRESSION``
+re-run the sweep on those directory/wire variants.
 """
 
 import os
@@ -28,7 +28,6 @@ from repro.core.translator import Translator
 from repro.testbed import build_testbed
 
 SEED = int(os.environ.get("CHAOS_SEED", "7"))
-BATCHING = os.environ.get("CHAOS_BATCHING", "0") == "1"
 SHARDED = os.environ.get("CHAOS_SHARDED", "0") == "1"
 CODEC = os.environ.get("CHAOS_CODEC", "0") == "1"
 
@@ -59,8 +58,6 @@ def token_device(translator_id, role, state):
 
 def build(extra_hosts=()):
     kwargs = dict(
-        saga_enabled=True,
-        batching_enabled=BATCHING,
         sharding_enabled=SHARDED,
         codec_enabled=CODEC, compression_enabled=COMPRESSION,
     )

@@ -23,18 +23,14 @@ SEED = int(os.environ.get("CHAOS_SEED", "7"))
 #: keeping the fault *schedule* identical -- the soak invariants must hold
 #: either way.
 LOSE_STATE = os.environ.get("CHAOS_LOSE_STATE", "0") == "1"
-#: CHAOS_BATCHING=1 runs the identical storm through the batched +
-#: pipelined peer senders; the calm-down invariants must hold either way.
-BATCHING = os.environ.get("CHAOS_BATCHING", "0") == "1"
-
 #: CHAOS_SHARDED=1 runs the identical storm through the rendezvous-
 #: sharded directory (routed lookups, interest-scoped gossip); every
 #: post-storm invariant must hold identically in both modes.
 SHARDED = os.environ.get("CHAOS_SHARDED", "0") == "1"
 
-#: CHAOS_CODEC=1 re-runs every scenario with the binary wire codec +
-#: load-adaptive batching active on every runtime (binary envelopes,
-#: batch frames, gossip bodies, and WAL record bodies).
+#: CHAOS_CODEC=1 re-runs every scenario with the binary wire codec
+#: active on every runtime (binary envelopes, batch frames, gossip
+#: bodies, and WAL record bodies).
 CODEC = os.environ.get("CHAOS_CODEC", "0") == "1"
 
 #: CHAOS_COMPRESSION=1 re-runs every scenario with the opt-in data-plane
@@ -42,12 +38,6 @@ CODEC = os.environ.get("CHAOS_CODEC", "0") == "1"
 #: load-weighted shard placement); compression implies the codec, and
 #: every crash/recovery invariant must hold identically.
 COMPRESSION = os.environ.get("CHAOS_COMPRESSION", "0") == "1"
-
-#: CHAOS_SAGA=1 runs the identical storm with the saga manager enabled on
-#: every runtime (an idle manager journals nothing, so the base soak and
-#: its replay stay byte-identical); the saga-mix workload test below runs
-#: always, with crashes turned cold by CHAOS_LOSE_STATE as usual.
-SAGA = os.environ.get("CHAOS_SAGA", "0") == "1"
 
 #: CHAOS_REPLICATION=1 re-runs the storm with replicated shard slices
 #: (replication_factor=2 on every runtime): epoch-fenced replica pushes,
@@ -64,10 +54,8 @@ def build_soak():
     """Three runtimes, a failover binding, and a steady sender."""
     bed = build_testbed(hosts=["h1", "h2", "h3"])
     kwargs = dict(
-        batching_enabled=BATCHING,
         sharding_enabled=SHARDED,
         codec_enabled=CODEC, compression_enabled=COMPRESSION,
-        saga_enabled=SAGA,
         replication_factor=2 if REPLICATION else 1,
     )
     r1 = bed.add_runtime("h1", **kwargs)
@@ -273,10 +261,8 @@ class TestSagaSoak:
         on exactly one -- and the directories are index-consistent."""
         bed = build_testbed(hosts=["h1", "h2", "h3"])
         kwargs = dict(
-            batching_enabled=BATCHING,
             sharding_enabled=SHARDED,
             codec_enabled=CODEC, compression_enabled=COMPRESSION,
-            saga_enabled=True,
             replication_factor=2 if REPLICATION else 1,
         )
         r1 = bed.add_runtime("h1", **kwargs)

@@ -44,7 +44,7 @@ class FakeNativeHandle(NativeHandle):
 class Rig:
     """A two-host testbed with one uMiddle runtime per host."""
 
-    def __init__(self, kernel, network, net_costs, runtimes: int = 2):
+    def __init__(self, kernel, network, net_costs, runtimes: int = 2, **runtime_kwargs):
         self.kernel = kernel
         self.network = network
         self.hub = network.add_hub(
@@ -59,7 +59,9 @@ class Rig:
             node = network.add_node(f"host-{index}")
             node.attach(self.hub)
             self.nodes.append(node)
-            self.runtimes.append(UMiddleRuntime(node, name=f"rt{index}"))
+            self.runtimes.append(
+                UMiddleRuntime(node, name=f"rt{index}", **runtime_kwargs)
+            )
 
     def settle(self, duration: float = 1.0) -> None:
         """Run the kernel long enough for directory gossip to converge."""

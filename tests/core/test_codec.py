@@ -520,9 +520,7 @@ class TestMixedVersionFederation:
             out.send(UMessage("text/plain", f"m{index}", 120))
 
     def test_json_only_peer_falls_back_per_peer(self):
-        bed, producer, out, sinks = build_fanout(
-            [True, False], codec_enabled=True, batching_enabled=True
-        )
+        bed, producer, out, sinks = build_fanout([True, False], codec_enabled=True)
         self.send_burst(out)
         bed.settle(30.0)
         for _runtime, received in sinks:
@@ -535,7 +533,7 @@ class TestMixedVersionFederation:
         assert transport.codec_fallbacks > 0
 
     def test_codec_off_everywhere_sends_no_binary_frames(self):
-        bed, producer, out, sinks = build_fanout([False], batching_enabled=True)
+        bed, producer, out, sinks = build_fanout([False])
         self.send_burst(out)
         bed.settle(30.0)
         assert producer.transport.codec_frames_sent == 0
@@ -543,9 +541,7 @@ class TestMixedVersionFederation:
         assert producer.journal.binary is False
 
     def test_codec_on_everywhere_goes_binary_including_gossip_and_journal(self):
-        bed, producer, out, sinks = build_fanout(
-            [True], codec_enabled=True, batching_enabled=True
-        )
+        bed, producer, out, sinks = build_fanout([True], codec_enabled=True)
         self.send_burst(out)
         bed.settle(30.0)
         _runtime, received = sinks[0]
@@ -557,7 +553,7 @@ class TestMixedVersionFederation:
         # would: every record decodes with its kind intact.
         records, _clean, discarded = replay_blob(producer.journal.blob)
         assert discarded == 0
-        assert any(r["kind"] == "spool-batch" or r["kind"] == "spool" for r in records)
+        assert any(r["kind"] == "spool-batch" for r in records)
 
 
 class TestCompressionFederation:
@@ -575,15 +571,13 @@ class TestCompressionFederation:
     def fanout_pair(self, peer_compression):
         hosts = ["h0", "p0"]
         bed = build_testbed(hosts=hosts)
-        producer = bed.add_runtime(
-            "h0", compression_enabled=True, batching_enabled=True
-        )
+        producer = bed.add_runtime("h0", compression_enabled=True)
         peer_kwargs = (
             {"compression_enabled": True}
             if peer_compression
             else {"codec_enabled": True}
         )
-        runtime = bed.add_runtime("p0", batching_enabled=True, **peer_kwargs)
+        runtime = bed.add_runtime("p0", **peer_kwargs)
         source = Translator("feed", role="sensor")
         out = source.add_digital_output("data-out", "text/plain")
         producer.register_translator(source)

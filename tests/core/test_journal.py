@@ -244,9 +244,9 @@ class TestReplaySemantics:
         e1 = {"kind": "message", "stream": "s", "seq": 1}
         e2 = {"kind": "message", "stream": "s", "seq": 2}
         state = self.apply(
-            ("spool", {"peer": "p", "envelope": e1, "size": 10}),
-            ("spool", {"peer": "p", "envelope": e2, "size": 20}),
-            ("spool-ack", {"peer": "p"}),
+            ("spool-batch", {"peer": "p", "entries": [[e1, 10]]}),
+            ("spool-batch", {"peer": "p", "entries": [[e2, 20]]}),
+            ("spool-ack", {"peer": "p", "count": 1}),
         )
         assert [env["seq"] for env, _size in state.spool["p"]] == [2]
         # Sequence counters remember the highest ever assigned, acked or not.
@@ -255,7 +255,7 @@ class TestReplaySemantics:
     def test_spool_flush_and_breaker_records(self):
         e1 = {"kind": "message", "stream": "s", "seq": 1}
         state = self.apply(
-            ("spool", {"peer": "p", "envelope": e1, "size": 10}),
+            ("spool-batch", {"peer": "p", "entries": [[e1, 10]]}),
             ("spool-flush", {"peer": "p"}),
             ("breaker", {"peer": "p", "state": "open", "times_opened": 2}),
         )
@@ -280,11 +280,12 @@ class TestReplaySemantics:
         state = self.apply(
             ("seq-reserve", {"stream": "s", "upto": 65}),
             (
-                "spool",
+                "spool-batch",
                 {
                     "peer": "p",
-                    "envelope": {"kind": "message", "stream": "s", "seq": 1},
-                    "size": 10,
+                    "entries": [
+                        [{"kind": "message", "stream": "s", "seq": 1}, 10]
+                    ],
                 },
             ),
         )
@@ -352,13 +353,13 @@ class TestAmortizedSpoolRecords:
         assert [e["seq"] for e, _s in state.spool["p"]] == [4]
 
     def test_legacy_uncounted_ack_still_pops_one(self):
+        """A one-envelope ack carries ``count: 1`` and pops exactly one
+        entry."""
         state = RecoveredState()
         Journal._apply(
-            state,
-            "spool",
-            {"peer": "p", "envelope": self.envelope(1), "size": 10},
+            state, "spool-batch", {"peer": "p", "entries": [[self.envelope(1), 10]]}
         )
-        Journal._apply(state, "spool-ack", {"peer": "p"})
+        Journal._apply(state, "spool-ack", {"peer": "p", "count": 1})
         assert state.spool.get("p", []) == []
 
     def test_synchronous_commit_never_folds(self):
@@ -495,13 +496,9 @@ class TestCheckpointAssembly:
         journal = runtime.journal
         seq = 0
         for peer in ("p3", "p1", "p2"):  # not sorted: the section sorts them
-            for _ in range(4):
+            for _ in range(5):
                 seq += 1
-                journal.append(
-                    "spool", {"peer": peer, "envelope": message(seq), "size": 60}
-                )
-            seq += 1
-            journal.append_spool(peer, message(seq), 60)
+                journal.append_spool(peer, message(seq), 60)
         journal.append("register", {"profile": {"translator_id": "t1"}})
         return bed, runtime, journal
 
@@ -516,17 +513,17 @@ class TestCheckpointAssembly:
 
     def test_spool_records_match_encode_record(self):
         bed, runtime, journal = self.make_journal(fsync_interval=5.0)
-        data = {"peer": "p1", "envelope": message(99), "size": 7}
+        single = {"peer": "p1", "entries": [[message(99), 7]]}
         journal.sync()
         start = journal.size_bytes
-        journal.append("spool", data)
+        journal.append_spool("p1", message(99), 7)
         journal.append_spool("p2", message(100), 8)
         journal.append_spool("p2", message(101), 9)
         journal.sync()
         lsn = journal._lsn
         batch = {"peer": "p2", "entries": [[message(100), 8], [message(101), 9]]}
         assert bytes(journal.blob[start:]) == (
-            encode_record(lsn - 1, "spool", data)
+            encode_record(lsn - 1, "spool-batch", single)
             + encode_record(lsn, "spool-batch", batch)
         )
 
@@ -536,7 +533,7 @@ class TestCheckpointAssembly:
 
     def test_after_ack(self):
         bed, runtime, journal = self.make_journal()
-        journal.append("spool-ack", {"peer": "p1"})
+        journal.append("spool-ack", {"peer": "p1", "count": 1})
         journal.append("spool-ack", {"peer": "p2", "count": 3})
         assert len(journal._encoded) == 15 - 4
         self.assert_identical(journal)
@@ -556,7 +553,7 @@ class TestCheckpointAssembly:
     def test_after_replay(self):
         bed, runtime, journal = self.make_journal()
         journal.checkpoint()
-        journal.append("spool-ack", {"peer": "p1"})
+        journal.append("spool-ack", {"peer": "p1", "count": 1})
         journal.replay()
         assert journal._encoded == {}
         self.assert_identical(journal)
@@ -564,7 +561,7 @@ class TestCheckpointAssembly:
     def test_after_lose_pending(self):
         bed, runtime, journal = self.make_journal(fsync_interval=5.0)
         journal.sync()
-        journal.append("spool-ack", {"peer": "p1"})
+        journal.append("spool-ack", {"peer": "p1", "count": 1})
         journal.append_spool("p1", message(50), 60)
         journal.lose_pending()
         self.assert_identical(journal)
@@ -624,9 +621,7 @@ class TestCompactionCost:
         journal.checkpoint = recording_checkpoint
 
         def step(seq):
-            journal.append(
-                "spool", {"peer": "p", "envelope": message(seq), "size": 60}
-            )
+            journal.append_spool("p", message(seq), 60)
             last = sizes[-1] if sizes else 0
             assert journal.size_bytes < last + max(last, floor) + 1024
 
@@ -641,7 +636,7 @@ class TestCompactionCost:
         seq = depth
         while turned is None or len(sizes) < turned + 3:
             step(seq)
-            journal.append("spool-ack", {"peer": "p"})
+            journal.append("spool-ack", {"peer": "p", "count": 1})
             seq += 1
             if turned is None and seq >= 2 * depth and sizes:
                 turned = len(sizes)
@@ -676,9 +671,7 @@ class TestFoldEncodesOnce:
 
         def bytes_for(count):
             bed = build_testbed(hosts=["h1"])
-            journal = bed.add_runtime(
-                "h1", batching_enabled=True, fsync_interval=1.0
-            ).journal
+            journal = bed.add_runtime("h1", fsync_interval=1.0).journal
             journal.sync()
             encoded[0] = 0
             for seq in range(count):

@@ -1,13 +1,10 @@
 """Batched + pipelined peer senders, shared-fanout envelopes, and the
 amortized spool records they write.
 
-``UMiddleRuntime(batching_enabled=True)`` switches the per-peer sender
-from one-envelope-per-frame to coalesced batch frames with a pipelined
-ack window.  These tests pin the observable contract: fewer frames and
-fewer wire bytes for the same burst, FIFO delivery order preserved,
-``spool-batch``/counted ``spool-ack`` journal records replacing the
-per-envelope kinds, and the off switch reproducing the legacy wire and
-journal behavior exactly.
+Every per-peer sender coalesces spooled envelopes into batch frames with
+a pipelined ack window.  These tests pin the observable contract: fewer
+frames than envelopes for a burst, FIFO delivery order preserved, and
+``spool-batch``/counted ``spool-ack`` journal records.
 """
 
 from repro.core.journal import replay_blob
@@ -23,11 +20,11 @@ def record_kinds(journal):
     return [r["kind"] for r in replay_blob(journal.blob)[0]]
 
 
-def build_pipeline(peers=1, **runtime_kwargs):
+def build_pipeline(peers=1):
     """One producing runtime fanning out to ``peers`` receiving runtimes."""
     hosts = ["h0"] + [f"p{i}" for i in range(peers)]
     bed = build_testbed(hosts=hosts)
-    producer = bed.add_runtime("h0", **runtime_kwargs)
+    producer = bed.add_runtime("h0")
     source = Translator("feed", role="sensor")
     out = source.add_digital_output("data-out", "text/plain")
     producer.register_translator(source)
@@ -54,7 +51,7 @@ def burst(out, count=BURST, size=120):
 
 class TestBatchedSender:
     def test_burst_coalesces_into_fewer_frames(self):
-        bed, producer, out, sinks = build_pipeline(batching_enabled=True)
+        bed, producer, out, sinks = build_pipeline()
         burst(out)
         bed.settle(30.0)
         _runtime, _sink, received = sinks[0]
@@ -63,19 +60,8 @@ class TestBatchedSender:
         # Coalescing happened: far fewer frames than envelopes.
         assert 0 < producer.transport.batches_sent < BURST
 
-    def test_batching_off_sends_no_batch_frames(self):
-        bed, producer, out, sinks = build_pipeline(batching_enabled=False)
-        burst(out)
-        bed.settle(30.0)
-        _runtime, _sink, received = sinks[0]
-        assert [m.payload for m in received] == [f"m{i}" for i in range(BURST)]
-        assert producer.transport.batches_sent == 0
-        kinds = record_kinds(producer.journal)
-        assert "spool" in kinds
-        assert "spool-batch" not in kinds
-
     def test_batching_on_writes_batch_records_and_counted_acks(self):
-        bed, producer, out, sinks = build_pipeline(batching_enabled=True)
+        bed, producer, out, sinks = build_pipeline()
         burst(out)
         bed.settle(30.0)
         records = replay_blob(producer.journal.blob)[0]
@@ -89,20 +75,8 @@ class TestBatchedSender:
         assert len(acks) == producer.transport.batches_sent
         assert len(acks) < BURST
 
-    def test_batching_uses_fewer_wire_bytes_for_the_same_burst(self):
-        frames = {}
-        for mode in (False, True):
-            bed, producer, out, sinks = build_pipeline(batching_enabled=mode)
-            before = bed.lan.bytes_transmitted
-            burst(out)
-            bed.settle(30.0)
-            assert len(sinks[0][2]) == BURST
-            frames[mode] = bed.lan.bytes_transmitted - before
-        # Shared batch framing amortizes the per-envelope header bytes.
-        assert frames[True] < frames[False]
-
     def test_oversized_envelope_ships_alone(self):
-        bed, producer, out, sinks = build_pipeline(batching_enabled=True)
+        bed, producer, out, sinks = build_pipeline()
         cap = producer.transport.BATCH_MAX_BYTES
         out.send(UMessage("text/plain", "big", cap * 2))
         out.send(UMessage("text/plain", "small", 100))
@@ -111,7 +85,7 @@ class TestBatchedSender:
         assert payloads == ["big", "small"]
 
     def test_fifo_order_across_many_pipeline_windows(self):
-        bed, producer, out, sinks = build_pipeline(batching_enabled=True)
+        bed, producer, out, sinks = build_pipeline()
         transport = producer.transport
         count = transport.BATCH_MAX_ENVELOPES * transport.PIPELINE_WINDOW * 2
         qos = QosPolicy(buffer_capacity=count + 16)
@@ -129,9 +103,7 @@ class TestBatchedSender:
         assert sinks[0][0].transport.duplicates_suppressed == 0
 
     def test_batched_fanout_reaches_every_peer_in_order(self):
-        bed, producer, out, sinks = build_pipeline(
-            peers=4, batching_enabled=True
-        )
+        bed, producer, out, sinks = build_pipeline(peers=4)
         burst(out, count=40)
         bed.settle(30.0)
         for _runtime, _sink, received in sinks:
@@ -153,9 +125,7 @@ class TestSharedFanout:
     def test_fanout_envelopes_share_the_base_not_the_dict(self):
         """Each peer's envelope is a fresh dict (per-peer dst/seq are
         layered on top) -- mutating one must not leak into another."""
-        bed, producer, out, sinks = build_pipeline(
-            peers=2, batching_enabled=True
-        )
+        bed, producer, out, sinks = build_pipeline(peers=2)
         out.send(UMessage("text/plain", "fan", 64))
         bed.settle(10.0)
         payloads = [

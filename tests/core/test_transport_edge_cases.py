@@ -7,7 +7,7 @@ from repro.core.messages import UMessage
 from repro.core.profile import PortRef
 from repro.core.qos import QosPolicy
 
-from tests.core.conftest import make_sink, make_source
+from tests.core.conftest import Rig, make_sink, make_source
 
 
 class TestConnectValidation:
@@ -92,7 +92,13 @@ class TestControlProtocol:
         rig.settle(1.0)
         assert rig.network.trace.count("transport.protocol-error") == 1
 
-    def test_relay_counter_counts_remote_messages(self, rig):
+    @pytest.mark.parametrize("codec", [False, True])
+    def test_relay_counter_counts_remote_messages(
+        self, kernel, network, net_costs, codec
+    ):
+        """Only message envelopes count: the connect request and the codec
+        hello/welcome are control envelopes."""
+        rig = Rig(kernel, network, net_costs, codec_enabled=codec)
         r0, r1 = rig.runtimes
         _, out = make_source(r0)
         sink, _ = make_sink(r1)

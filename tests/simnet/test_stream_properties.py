@@ -1,6 +1,6 @@
 """Property-based tests for stream reliability and conservation laws."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.calibration import DEFAULT
 from repro.simnet import Kernel, Network
@@ -81,6 +81,9 @@ def test_lossless_stream_delivers_everything_in_order(sizes):
     seed=st.integers(min_value=0, max_value=1000),
 )
 @settings(max_examples=25, deadline=None)
+# Every SYN-ACK of the first handshake is lost, so the client gives up
+# while the server already accepted a half-open stream.
+@example(sizes=[1], loss=0.25, seed=399)
 def test_lossy_stream_is_still_reliable_and_ordered(sizes, loss, seed):
     """Go-back-N repairs arbitrary loss patterns: exactly-once, in order."""
     received = run_transfer(sizes, loss_rate=loss, seed=seed)
