@@ -11,7 +11,9 @@ Writes ``BENCH_compression.json`` at the repository root.  Four legs:
 - **Compressed full-state** -- a 25k-translator directory full-state
   announcement through ``FRAME_GOSSIP_Z`` (zlib block compression)
   versus the plain codec frame.  Gates: compressed bytes <= 0.5x plain,
-  and cold-ingest (decode + apply) <= 1.1x the uncompressed ingest.
+  and cold-ingest (decode + apply) <= 1.1x the uncompressed ingest, as
+  the median of ``INGEST_ROUNDS`` back-to-back pair ratios timed with
+  the garbage collector off.
 - **Load-weighted placement** -- a zipf-hot-key workload placed by the
   plain rendezvous sweep versus the load-weighted sweep fed from the
   same per-shard tier quantization the router announces.  Gate: the
@@ -24,7 +26,9 @@ Writes ``BENCH_compression.json`` at the repository root.  Four legs:
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -109,6 +113,7 @@ def bench_delta_batches() -> dict:
 
 
 FULL_STATE_TRANSLATORS = 25_000
+INGEST_ROUNDS = 9
 
 PLATFORMS = ("upnp", "jini", "bluetooth", "motes", "webservices")
 ROLES = ("display", "sensor", "printer", "player", "storage")
@@ -146,10 +151,18 @@ def offline_runtime(bed, host: str, **kwargs) -> UMiddleRuntime:
 def ingest_seconds(frame, bed, host: str) -> float:
     """Cold-ingest one full-state frame: decode plus flat apply."""
     receiver = offline_runtime(bed, host)
-    start = time.perf_counter()
-    payload = decode_gossip(frame)
-    receiver.directory._apply_announcement(payload)
-    elapsed = time.perf_counter() - start
+    # A full collection of the suite's heap takes up to ~1 s: collect
+    # first and keep the collector out of the timed region, so neither
+    # variant is charged for garbage that earlier work left behind.
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        payload = decode_gossip(frame)
+        receiver.directory._apply_announcement(payload)
+        elapsed = time.perf_counter() - start
+    finally:
+        gc.enable()
     assert len(receiver.directory.profiles()) == FULL_STATE_TRANSLATORS
     return elapsed
 
@@ -172,16 +185,30 @@ def bench_full_state() -> dict:
     packed = encode_gossip(payload, compress=True)
     assert decode_gossip(packed) == decode_gossip(plain)
 
-    plain_s = ingest_seconds(plain, bed, "ingest-plain")
-    packed_s = ingest_seconds(packed, bed, "ingest-z")
+    # Back-to-back pairs, alternating which variant goes first; the gate
+    # reads the median of the per-pair ratios, which cancels host-speed
+    # drift slower than one pair.
+    pairs = []
+    for index in range(INGEST_ROUNDS):
+        order = [(plain, "plain"), (packed, "z")]
+        walls = {
+            name: ingest_seconds(frame, bed, f"ingest-{name}-{index}")
+            for frame, name in (order if index % 2 == 0 else order[::-1])
+        }
+        pairs.append((walls["plain"], walls["z"]))
     return {
         "translators": FULL_STATE_TRANSLATORS,
         "plain_wire_bytes": plain.wire_size,
         "compressed_wire_bytes": packed.wire_size,
         "compressed_ratio": round(packed.wire_size / plain.wire_size, 3),
-        "plain_ingest_ms": round(plain_s * 1e3, 3),
-        "compressed_ingest_ms": round(packed_s * 1e3, 3),
-        "ingest_latency_ratio": round(packed_s / plain_s, 3),
+        "ingest_rounds": INGEST_ROUNDS,
+        "plain_ingest_ms": round(statistics.median(p for p, _ in pairs) * 1e3, 3),
+        "compressed_ingest_ms": round(
+            statistics.median(z for _, z in pairs) * 1e3, 3
+        ),
+        "ingest_latency_ratio": round(
+            statistics.median(z / p for p, z in pairs), 3
+        ),
     }
 
 

@@ -17,12 +17,16 @@ root:
   and on with group commit.  The acceptance bar is WAL overhead <= 1.35x
   (was 1.3x before the data-plane optimizations sped up the journal-off
   baseline this ratio is measured against; absolute journal-on cost was
-  unchanged).
+  unchanged).  Each round runs the three variants back to back and yields
+  one ratio per journal variant; the gate reads the median over
+  ``HOT_PATH_ROUNDS`` rounds, and the JSON records the spread.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -33,7 +37,7 @@ from repro.testbed import build_testbed
 
 POPULATION = 1000
 HOT_PATH_MESSAGES = 400
-HOT_PATH_REPEATS = 5
+HOT_PATH_ROUNDS = 15
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_durability.json"
 
 
@@ -122,9 +126,16 @@ def run_hot_path(**runtime_kwargs) -> float:
             yield bed.kernel.timeout(0.01)
 
     bed.kernel.process(sender(), name="hot-path-sender")
-    start = time.perf_counter()
-    bed.settle(HOT_PATH_MESSAGES * 0.01 + 5.0)
-    wall_s = time.perf_counter() - start
+    # Collect before and keep the collector out of the timed region, so a
+    # collection triggered by an earlier run is not charged to this one.
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        bed.settle(HOT_PATH_MESSAGES * 0.01 + 5.0)
+        wall_s = time.perf_counter() - start
+    finally:
+        gc.enable()
     assert len(received) == HOT_PATH_MESSAGES
     return wall_s
 
@@ -135,25 +146,35 @@ def bench_hot_path() -> dict:
         "journal_sync": {},
         "journal_group_commit": {"fsync_interval": 0.25},
     }
-    # Interleave the variants round-robin and keep each one's best run:
-    # min-of-interleaved is robust to clock-speed drift over the suite,
-    # where min-of-sequential-blocks is not.
-    walls = {name: float("inf") for name in variants}
-    for _ in range(HOT_PATH_REPEATS):
-        for name, kwargs in variants.items():
-            walls[name] = min(walls[name], run_hot_path(**kwargs))
-    baseline = walls["journal_off"]
+    # Each round runs the variants back to back, so a ratio compares runs
+    # made at nearly the same host speed; the median over rounds is robust
+    # to the host drifting between rounds.
+    rounds = [
+        {name: run_hot_path(**kwargs) for name, kwargs in variants.items()}
+        for _ in range(HOT_PATH_ROUNDS)
+    ]
+
+    def median_ms(name):
+        return round(statistics.median(r[name] for r in rounds) * 1e3, 2)
+
+    def ratios(name):
+        values = sorted(r[name] / r["journal_off"] for r in rounds)
+        return round(statistics.median(values), 3), [
+            round(values[0], 3), round(values[-1], 3)
+        ]
+
+    sync_ratio, sync_spread = ratios("journal_sync")
+    group_ratio, group_spread = ratios("journal_group_commit")
     return {
         "messages": HOT_PATH_MESSAGES,
-        "journal_off_wall_ms": round(walls["journal_off"] * 1e3, 2),
-        "journal_sync_wall_ms": round(walls["journal_sync"] * 1e3, 2),
-        "journal_group_commit_wall_ms": round(
-            walls["journal_group_commit"] * 1e3, 2
-        ),
-        "sync_ratio": round(walls["journal_sync"] / baseline, 3),
-        "group_commit_ratio": round(
-            walls["journal_group_commit"] / baseline, 3
-        ),
+        "rounds": HOT_PATH_ROUNDS,
+        "journal_off_wall_ms": median_ms("journal_off"),
+        "journal_sync_wall_ms": median_ms("journal_sync"),
+        "journal_group_commit_wall_ms": median_ms("journal_group_commit"),
+        "sync_ratio": sync_ratio,
+        "sync_ratio_min_max": sync_spread,
+        "group_commit_ratio": group_ratio,
+        "group_commit_ratio_min_max": group_spread,
     }
 
 
@@ -205,9 +226,10 @@ def test_recovery_durability(compare):
     # gossip path pays real protocol rounds.
     assert recovery["sim_seconds_to_converge"] == 0.0
     assert relearn["sim_seconds_to_converge"] > 0.0
-    # Acceptance: the WAL costs at most 1.35x on the message hot path.
-    # (The PR 5 data-plane work sped up the journal-off baseline -- trace
-    # guards, parked events -- so the same absolute WAL cost now divides
-    # by a smaller denominator; measured ~1.26-1.31.)
+    # Acceptance: the WAL costs at most 1.35x on the message hot path,
+    # in the median of the per-round ratios.  (Data-plane and kernel work
+    # sped up the journal-off baseline -- trace guards, parked events,
+    # cheaper kernel events -- so the same absolute WAL cost now divides
+    # by a smaller denominator.)
     assert hot_path["sync_ratio"] <= 1.35, hot_path
     assert hot_path["group_commit_ratio"] <= 1.35, hot_path

@@ -432,7 +432,29 @@ class Journal:
         # Encode before committing the LSN: a non-serializable payload must
         # raise without leaving a gap in the sequence chain.
         lsn = self._lsn + 1
-        record = encode_record(lsn, kind, data, self.binary)
+        self._commit(lsn, encode_record(lsn, kind, data, self.binary), kind, data)
+
+    def append_spool_ack(self, peer: str, count: int) -> None:
+        """``append("spool-ack", {"count": count, "peer": peer})``: one per
+        acknowledged batch on every peer sender's hot path, so a JSON
+        journal frames it from a template (byte-identical to
+        :func:`encode_record`) instead of running the JSON encoder."""
+        if self.binary:
+            self.append("spool-ack", {"count": count, "peer": peer})
+            return
+        if not self.enabled or self.muted:
+            return
+        self._seal_fold()
+        lsn = self._lsn + 1
+        record = _frame([
+            b'{"data":{"count":%d,"peer":' % count, canonical_json(peer),
+            b'},"kind":"spool-ack","lsn":%d}' % lsn,
+        ])
+        self._commit(lsn, record, "spool-ack", {"count": count, "peer": peer})
+
+    def _commit(self, lsn: int, record: bytes, kind: str, data: dict) -> None:
+        """Take ``lsn`` for an encoded record: buffer it, fold it into the
+        mirror and account its bytes."""
         self._lsn = lsn
         self._pending += record
         self._pending_tail = record

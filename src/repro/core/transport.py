@@ -217,7 +217,7 @@ class MessagePath:
         umiddle = runtime.calibration.umiddle
         while not self.closed:
             if not self._buffer:
-                self._wakeup = kernel.event(name=f"path-wait:{self.path_id}")
+                self._wakeup = kernel.event(name="path-wait")
                 yield self._wakeup
                 self._wakeup = None
                 continue
@@ -1142,9 +1142,7 @@ class Transport:
                                 # messages.
                                 if outbox.popleft()[1].get("kind") == "message":
                                     self.messages_relayed += 1
-                            runtime.journal.append(
-                                "spool-ack", {"count": count, "peer": runtime_id}
-                            )
+                            runtime.journal.append_spool_ack(runtime_id, count)
                         inflight.clear()
                         staged = 0
                         attempts = 0
@@ -1458,9 +1456,7 @@ class Transport:
         if hasattr(result, "send") and hasattr(result, "throw"):
             # Run the handler as its own process: peer streams must not be
             # blocked by one slow native device.
-            self.runtime.kernel.process(
-                result, name=f"remote-deliver:{envelope['dst']}"
-            )
+            self.runtime.kernel.process(result, name="remote-deliver")
 
     def _handle_connect_request(self, envelope: dict) -> None:
         src_ref = PortRef.parse(envelope["src"])

@@ -38,7 +38,7 @@ fully deterministic -- a property the benchmark harness relies on.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -74,6 +74,11 @@ class ProcessKilled(Exception):
     """Thrown into a process that was forcibly killed via :meth:`Process.kill`."""
 
 
+_PENDING = "pending"
+_TRIGGERED = "triggered"
+_PROCESSED = "processed"
+
+
 class Event:
     """A one-shot simulation event.
 
@@ -84,17 +89,20 @@ class Event:
     at the current simulated time.
     """
 
-    PENDING = "pending"
-    TRIGGERED = "triggered"
-    PROCESSED = "processed"
+    __slots__ = ("_kernel", "_name", "callbacks", "_value", "_exception",
+                 "_state", "defused", "__weakref__")
+
+    PENDING = _PENDING
+    TRIGGERED = _TRIGGERED
+    PROCESSED = _PROCESSED
 
     def __init__(self, kernel: "Kernel", name: str = ""):
         self._kernel = kernel
-        self.name = name or self.__class__.__name__
+        self._name = name
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = None
         self._exception: Optional[BaseException] = None
-        self._state = Event.PENDING
+        self._state = _PENDING
         #: Set True by a waiter that consumed the failure, to suppress the
         #: "unhandled failure" error at kernel level.
         self.defused = False
@@ -102,16 +110,28 @@ class Event:
     # -- inspection ---------------------------------------------------
 
     @property
+    def name(self) -> str:
+        """The caller's name, or a default derived only when read."""
+        return self._name or self._default_name()
+
+    @name.setter
+    def name(self, value: str) -> None:
+        self._name = value
+
+    def _default_name(self) -> str:
+        return self.__class__.__name__
+
+    @property
     def kernel(self) -> "Kernel":
         return self._kernel
 
     @property
     def triggered(self) -> bool:
-        return self._state != Event.PENDING
+        return self._state != _PENDING
 
     @property
     def processed(self) -> bool:
-        return self._state == Event.PROCESSED
+        return self._state == _PROCESSED
 
     @property
     def ok(self) -> bool:
@@ -134,21 +154,21 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._state != _PENDING:
             raise SimulationError(f"{self.name} has already been triggered")
         self._value = value
-        self._state = Event.TRIGGERED
+        self._state = _TRIGGERED
         self._kernel._enqueue_trigger(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with a failure carrying ``exception``."""
-        if self.triggered:
+        if self._state != _PENDING:
             raise SimulationError(f"{self.name} has already been triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
         self._exception = exception
-        self._state = Event.TRIGGERED
+        self._state = _TRIGGERED
         self._kernel._enqueue_trigger(self)
         return self
 
@@ -177,18 +197,18 @@ class Event:
         legal once the previous trigger has been processed -- a pending or
         triggered-but-unprocessed event still owes its waiters a wakeup.
         """
-        if self._state != Event.PROCESSED:
+        if self._state != _PROCESSED:
             raise SimulationError(f"cannot reset {self.name!r}: not processed yet")
         self.callbacks = []
         self._value = None
         self._exception = None
         self.defused = False
-        self._state = Event.PENDING
+        self._state = _PENDING
         return self
 
     def _process_trigger(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
-        self._state = Event.PROCESSED
+        self._state = _PROCESSED
         for callback in callbacks or ():
             callback(self)
         if self._exception is not None and not self.defused:
@@ -201,24 +221,80 @@ class Event:
 class Timeout(Event):
     """An event that triggers automatically ``delay`` seconds in the future."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, kernel: "Kernel", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(kernel, name=f"Timeout({delay})")
-        self.delay = delay
+        # Hottest constructor in the simulator: fill the slots inline and
+        # push the heap entry directly.
+        self._kernel = kernel
+        self._name = ""
+        self.callbacks = []
         self._value = value
-        self._state = Event.TRIGGERED
-        kernel._enqueue_trigger(self, delay=delay)
+        self._exception = None
+        self._state = _TRIGGERED
+        self.defused = False
+        self.delay = delay
+        kernel._sequence += 1
+        heappush(kernel._queue, (kernel._now + delay, kernel._sequence, self))
+
+    def _default_name(self) -> str:
+        return f"Timeout({self.delay})"
+
+
+class _Callback(Event):
+    """Internal event behind ``call_soon``/``call_later``: runs ``func()``
+    first, then any callbacks added to the returned event."""
+
+    __slots__ = ("_func",)
+
+    def __init__(self, kernel: "Kernel", when: float, seq: int,
+                 func: Callable[[], None]):
+        Event.__init__(self, kernel)
+        self._func = func
+        self._state = _TRIGGERED
+        heappush(kernel._queue, (when, seq, self))
+
+    def _default_name(self) -> str:
+        return f"Callback({getattr(self._func, '__qualname__', 'callback')})"
+
+    def _process_trigger(self) -> None:
+        callbacks, self.callbacks = self.callbacks, None
+        self._state = _PROCESSED
+        self._func()
+        for callback in callbacks:
+            callback(self)
 
 
 class _Initialize(Event):
     """Internal event that starts a freshly created process."""
 
+    __slots__ = ("_process",)
+
     def __init__(self, kernel: "Kernel", process: "Process"):
-        super().__init__(kernel, name=f"Init({process.name})")
-        self._state = Event.TRIGGERED
+        Event.__init__(self, kernel)
+        self._process = process
+        self._state = _TRIGGERED
         self.callbacks.append(process._resume)
         kernel._enqueue_trigger(self)
+
+    def _default_name(self) -> str:
+        return f"Init({self._process.name})"
+
+
+class _Throw(_Initialize):
+    """Internal event that throws ``exc`` into a process."""
+
+    __slots__ = ()
+
+    def __init__(self, kernel: "Kernel", process: "Process", exc: BaseException):
+        super().__init__(kernel, process)
+        self._exception = exc
+        self.defused = True
+
+    def _default_name(self) -> str:
+        return f"Throw({self._process.name})"
 
 
 class Process(Event):
@@ -227,6 +303,8 @@ class Process(Event):
     The process is an :class:`Event` that triggers when the generator
     returns (successfully, with the return value) or raises (as a failure).
     """
+
+    __slots__ = ("_generator", "_waiting_on")
 
     def __init__(self, kernel: "Kernel", generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -265,73 +343,72 @@ class Process(Event):
             except ValueError:
                 pass
         self._waiting_on = None
-        throw_event = Event(self._kernel, name=f"Throw({self.name})")
-        throw_event._exception = exc
-        throw_event._state = Event.TRIGGERED
-        throw_event.defused = True
-        throw_event.callbacks.append(self._resume)
         if defuse:
             self.defused = True
-        self._kernel._enqueue_trigger(throw_event)
+        _Throw(self._kernel, self, exc)
 
     # -- generator driving --------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        self._kernel._active_process = self
+        kernel = self._kernel
+        kernel._active_process = self
+        generator = self._generator
         try:
             while True:
                 try:
                     if event._exception is None:
-                        target = self._generator.send(event._value)
+                        target = generator.send(event._value)
                     else:
                         event.defused = True
-                        target = self._generator.throw(event._exception)
+                        target = generator.throw(event._exception)
                 except StopIteration as stop:
                     self._waiting_on = None
                     self._value = stop.value
-                    self._state = Event.TRIGGERED
-                    self._kernel._enqueue_trigger(self)
+                    self._state = _TRIGGERED
+                    kernel._enqueue_trigger(self)
                     return
                 except BaseException as exc:
                     self._waiting_on = None
                     self._exception = exc
-                    self._state = Event.TRIGGERED
-                    self._kernel._enqueue_trigger(self)
+                    self._state = _TRIGGERED
+                    kernel._enqueue_trigger(self)
                     return
 
                 if not isinstance(target, Event):
-                    exc = SimulationError(
+                    event = Event(kernel)
+                    event._exception = SimulationError(
                         f"process {self.name!r} yielded a non-event: {target!r}"
                     )
-                    event = Event(self._kernel)
-                    event._exception = exc
-                    event._state = Event.TRIGGERED
+                    event._state = _TRIGGERED
                     continue
-                if target._kernel is not self._kernel:
-                    exc = SimulationError("cannot wait on an event from another kernel")
-                    event = Event(self._kernel)
-                    event._exception = exc
-                    event._state = Event.TRIGGERED
+                if target._kernel is not kernel:
+                    event = Event(kernel)
+                    event._exception = SimulationError(
+                        "cannot wait on an event from another kernel"
+                    )
+                    event._state = _TRIGGERED
                     continue
 
-                if target.callbacks is not None:
+                callbacks = target.callbacks
+                if callbacks is not None:
                     # Pending or triggered-but-unprocessed: park the process.
                     self._waiting_on = target
-                    target.callbacks.append(self._resume)
+                    callbacks.append(self._resume)
                     return
                 # Already processed: loop and feed its outcome immediately.
                 event = target
         finally:
-            self._kernel._active_process = None
+            kernel._active_process = None
 
 
 class _Condition(Event):
     """Base class for :class:`AnyOf` / :class:`AllOf` composite waits."""
 
+    __slots__ = ("_events",)
+
     def __init__(self, kernel: "Kernel", events: Iterable[Event], name: str):
         super().__init__(kernel, name=name)
         self._events = list(events)
-        self._pending = 0
         for event in self._events:
             if event._kernel is not self._kernel:
                 raise SimulationError("all events must belong to the same kernel")
@@ -364,6 +441,8 @@ class AnyOf(_Condition):
     fails if the first event to trigger failed.
     """
 
+    __slots__ = ()
+
     def __init__(self, kernel: "Kernel", events: Iterable[Event]):
         super().__init__(kernel, events, name="AnyOf")
 
@@ -385,6 +464,8 @@ class AllOf(_Condition):
     Succeeds with a dict of all events and their values; fails fast on the
     first failing constituent.
     """
+
+    __slots__ = ()
 
     def __init__(self, kernel: "Kernel", events: Iterable[Event]):
         super().__init__(kernel, events, name="AllOf")
@@ -448,7 +529,7 @@ class Kernel:
         return Event(self, name=name)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value=value)
+        return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
@@ -460,23 +541,42 @@ class Kernel:
         return AllOf(self, events)
 
     def call_soon(self, func: Callable[[], None]) -> Event:
-        """Schedule ``func`` to run at the current simulated time."""
-        event = Event(self, name="call_soon")
-        event.add_callback(lambda _evt: func())
-        event.succeed()
-        return event
+        """Schedule ``func`` to run at the current simulated time.
 
-    def call_later(self, delay: float, func: Callable[[], None]) -> Timeout:
+        Returns the processed-when-run event; callbacks added to it run
+        after ``func``.
+        """
+        self._sequence += 1
+        return _Callback(self, self._now, self._sequence, func)
+
+    def call_later(self, delay: float, func: Callable[[], None]) -> Event:
         """Schedule ``func`` to run ``delay`` seconds in the future."""
-        timeout = self.timeout(delay)
-        timeout.add_callback(lambda _evt: func())
-        return timeout
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay}")
+        self._sequence += 1
+        return _Callback(self, self._now + delay, self._sequence, func)
 
     # -- scheduling ------------------------------------------------------
 
-    def _enqueue_trigger(self, event: Event, delay: float = 0.0) -> None:
+    def _enqueue_trigger(self, event: Event) -> None:
+        """Schedule a triggered event for processing at the current time."""
         self._sequence += 1
-        heapq.heappush(self._queue, (self._now + delay, self._sequence, event))
+        heappush(self._queue, (self._now, self._sequence, event))
+
+    def _take_slot(self, delay: float) -> tuple:
+        """Kernel-internal: the ``(time, seq)`` heap slot an event scheduled
+        ``delay`` seconds from now would take, reserved without scheduling
+        anything.  Pass it to :meth:`_call_at` later (see the stream
+        retransmit timer) to run at exactly that time and FIFO position."""
+        self._sequence += 1
+        return (self._now + delay, self._sequence)
+
+    def _call_at(self, slot: tuple, func: Callable[[], None]) -> Event:
+        """Kernel-internal: schedule ``func()`` in a slot from :meth:`_take_slot`."""
+        when, seq = slot
+        if when < self._now:
+            raise SimulationError(f"slot {when} is in the past (now={self._now})")
+        return _Callback(self, when, seq, func)
 
     def peek(self) -> float:
         """Timestamp of the next scheduled event, or ``inf`` if none."""
@@ -484,9 +584,10 @@ class Kernel:
 
     def step(self) -> None:
         """Process exactly one event, advancing the clock to its time."""
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             raise SimulationError("step() on an empty event queue")
-        when, _seq, event = heapq.heappop(self._queue)
+        when, _seq, event = heappop(queue)
         if when < self._now:
             raise SimulationError("event scheduled in the past (kernel bug)")
         self._now = when

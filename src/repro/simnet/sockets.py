@@ -264,7 +264,7 @@ class DatagramSocket:
 
     def recv(self) -> Event:
         """Event that succeeds with the next :class:`Datagram`."""
-        event = self.kernel.event(name=f"udp-recv:{self.node.name}:{self.port}")
+        event = self.kernel.event(name="udp-recv")
         if self._queue:
             event.succeed(self._queue.popleft())
         elif self.closed:
@@ -503,7 +503,13 @@ class StreamSocket:
         self._unacked: Deque[_Segment] = deque()
         self._next_seq = 0
         self._pump_running = False
-        self._retransmit_timer: Optional[Event] = None
+        #: Retransmission clock: ``_rto_deadline`` is the ``(time, seq)``
+        #: kernel slot the timer is due in (None while nothing is unacked),
+        #: ``_rto_timer`` the slot of the one pending kernel callback.  Ack
+        #: progress only moves the deadline; a callback that fires early
+        #: re-arms itself at the deadline (see :meth:`_on_retransmit_timer`).
+        self._rto_deadline: Optional[Tuple[float, int]] = None
+        self._rto_timer: Optional[Tuple[float, int]] = None
         self._retries = 0
         self._drained_waiters: Deque[Event] = deque()
         #: Reusable parked event for :meth:`drained_wait`: hot senders wait
@@ -624,11 +630,12 @@ class StreamSocket:
                 raise ConnectionClosed("stream closed during send")
             self._transmit_segment(segment)
             self._unacked.append(segment)
-            self._arm_retransmit()
+            if self._rto_deadline is None:
+                self._arm_retransmit()
 
     def drained(self) -> Event:
         """Event that succeeds once all queued data has been acknowledged."""
-        event = self.kernel.event(name=f"drained:{self._key}")
+        event = self.kernel.event(name="drained")
         if not self._send_queue and not self._unacked:
             event.succeed()
         else:
@@ -652,7 +659,7 @@ class StreamSocket:
                 if event is not None and event.processed:
                     event = event.reset()
                 else:
-                    event = self.kernel.event(name=f"drained:{self._key}")
+                    event = self.kernel.event(name="drained")
                 self._drained_parked = event
                 self._drained_waiters.append(event)
             yield event
@@ -672,12 +679,12 @@ class StreamSocket:
     def _start_pump(self) -> None:
         if not self._pump_running and self.connected and not self.closed:
             self._pump_running = True
-            self.kernel.process(self._pump(), name=f"pump:{self._key}")
+            self.kernel.process(self._pump(), name="pump")
 
     def _await_window(self):
         """Generator: parks until the send window has room."""
         while len(self._unacked) >= self.WINDOW and not self.closed:
-            waiter = self.kernel.event(name=f"window:{self._key}")
+            waiter = self.kernel.event(name="window")
             self._window_waiters.append(waiter)
             yield waiter
 
@@ -691,7 +698,8 @@ class StreamSocket:
                     return
                 self._transmit_segment(segment)
                 self._unacked.append(segment)
-                self._arm_retransmit()
+                if self._rto_deadline is None:
+                    self._arm_retransmit()
         finally:
             self._pump_running = False
 
@@ -709,16 +717,28 @@ class StreamSocket:
         self.node.send_frame(frame)
 
     def _arm_retransmit(self) -> None:
-        if self._retransmit_timer is not None:
-            return
-        timer = self.kernel.timeout(self.RTO)
-        self._retransmit_timer = timer
-        timer.add_callback(lambda _evt: self._on_retransmit_timer(timer))
+        """Restart the retransmission clock: due ``RTO`` from now.
 
-    def _on_retransmit_timer(self, timer: Event) -> None:
-        if self._retransmit_timer is not timer or self.closed:
-            return  # stale timer (acks progressed and re-armed a fresh one)
-        self._retransmit_timer = None
+        Allocates nothing while a timer callback is already pending: that
+        callback fires no later than the new deadline and re-arms there.
+        """
+        self._rto_deadline = self.kernel._take_slot(self.RTO)
+        if self._rto_timer is None:
+            self._rto_timer = self._rto_deadline
+            self.kernel._call_at(self._rto_timer, self._on_retransmit_timer)
+
+    def _on_retransmit_timer(self) -> None:
+        fired, self._rto_timer = self._rto_timer, None
+        deadline = self._rto_deadline
+        if deadline is None or self.closed:
+            return  # disarmed: everything was acknowledged
+        if deadline != fired:
+            # Acks progressed since this callback was scheduled: sleep on
+            # until the deadline they moved it to.
+            self._rto_timer = deadline
+            self.kernel._call_at(deadline, self._on_retransmit_timer)
+            return
+        self._rto_deadline = None
         if not self._unacked:
             return
         self._retries += 1
@@ -805,9 +825,10 @@ class StreamSocket:
                     waiter.succeed()
         if progressed:
             self._retries = 0
-            self._retransmit_timer = None  # disarm; re-armed on next send
             if self._unacked:
                 self._arm_retransmit()
+            else:
+                self._rto_deadline = None  # disarm; re-armed on next send
         if not self._send_queue and not self._unacked:
             while self._drained_waiters:
                 self._drained_waiters.popleft().succeed()
@@ -816,7 +837,7 @@ class StreamSocket:
 
     def recv(self) -> Event:
         """Event that succeeds with ``(payload, size)`` of the next message."""
-        event = self.kernel.event(name=f"recv:{self._key}")
+        event = self.kernel.event(name="recv")
         if self._recv_queue:
             event.succeed(self._recv_queue.popleft())
         elif self.closed:
@@ -863,7 +884,7 @@ class StreamSocket:
         if self.closed:
             return
         self.closed = True
-        self._retransmit_timer = None
+        self._rto_deadline = None
         while self._recv_waiters:
             waiter = self._recv_waiters.popleft()
             waiter.defused = True

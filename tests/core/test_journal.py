@@ -527,6 +527,21 @@ class TestCheckpointAssembly:
             + encode_record(lsn, "spool-batch", batch)
         )
 
+    def test_spool_ack_template_matches_encode_record(self):
+        bed, runtime, journal = self.make_journal(fsync_interval=5.0)
+        journal.sync()
+        start = journal.size_bytes
+        journal.append_spool_ack("p1", 2)
+        journal.append_spool_ack('p"\u00e9', 1)  # escaped, non-ASCII peer
+        journal.sync()
+        lsn = journal._lsn
+        assert bytes(journal.blob[start:]) == (
+            encode_record(lsn - 1, "spool-ack", {"count": 2, "peer": "p1"})
+            + encode_record(lsn, "spool-ack", {"count": 1, "peer": 'p"\u00e9'})
+        )
+        assert [e["seq"] for e, _s in journal._mirror.spool["p1"]] == [8, 9, 10]
+        self.assert_identical(journal)
+
     def test_after_appends(self):
         bed, runtime, journal = self.make_journal()
         self.assert_identical(journal)

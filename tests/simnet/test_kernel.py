@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import weakref
+
 import pytest
 
 from repro.simnet.kernel import (
@@ -12,6 +14,8 @@ from repro.simnet.kernel import (
     ProcessKilled,
     SimulationError,
     Timeout,
+    _Initialize,
+    _Throw,
 )
 
 
@@ -327,3 +331,102 @@ class TestScheduling:
         kernel.run()
         assert seen == [0, 1, 2, 3]
         assert kernel.now == 3.0
+
+    def test_mixed_same_instant_runs_in_scheduling_order(self, kernel):
+        """call_later(0), a timeout(0) waiter, succeed() and call_soon issued
+        at one instant run in the order they were scheduled."""
+        order = []
+        gate = kernel.event()
+        gate.add_callback(lambda _evt: order.append(("succeed", kernel.now)))
+
+        def driver(k):
+            yield k.timeout(1.0)
+            k.call_later(0, lambda: order.append(("call_later", k.now)))
+            wake = k.timeout(0)
+            gate.succeed()
+            k.call_soon(lambda: order.append(("call_soon", k.now)))
+            yield wake
+            order.append(("timeout waiter", k.now))
+
+        kernel.process(driver(kernel))
+        kernel.run()
+        assert order == [
+            ("call_later", 1.0),
+            ("timeout waiter", 1.0),
+            ("succeed", 1.0),
+            ("call_soon", 1.0),
+        ]
+
+    def test_add_callback_on_call_later_runs_after_function(self, kernel):
+        order = []
+        event = kernel.call_later(1.0, lambda: order.append("func"))
+        event.add_callback(lambda evt: order.append(("callback", kernel.now, evt is event)))
+        kernel.run()
+        assert order == ["func", ("callback", 1.0, True)]
+        assert event.processed
+
+        # Added after processing: runs at the current time, not dropped.
+        event.add_callback(lambda evt: order.append(("late", kernel.now)))
+        kernel.run()
+        assert order[-1] == ("late", 1.0)
+
+    def test_negative_call_later_rejected(self, kernel):
+        with pytest.raises(SimulationError):
+            kernel.call_later(-0.1, lambda: None)
+
+    def test_reserved_slot_keeps_its_fifo_position(self, kernel):
+        """_call_at runs in the slot _take_slot reserved, ahead of events
+        scheduled for the same instant after the reservation."""
+        order = []
+        slot = kernel._take_slot(1.0)
+        kernel.call_later(1.0, lambda: order.append("later"))
+        kernel._call_at(slot, lambda: order.append("reserved"))
+        kernel.run()
+        assert order == ["reserved", "later"]
+        with pytest.raises(SimulationError):
+            kernel._call_at((0.5, 1), lambda: None)
+
+
+def _sleeper(k):
+    yield k.timeout(10.0)
+
+
+class TestEventNames:
+    def test_timeout_default_name(self, kernel):
+        assert Timeout(kernel, 0.5).name == "Timeout(0.5)"
+        assert kernel.timeout(2).name == "Timeout(2)"
+
+    def test_initialize_and_throw_names_and_repr(self, kernel):
+        process = kernel.process(_sleeper(kernel), name="worker")
+        (init,) = [e for _, _, e in kernel._queue if isinstance(e, _Initialize)]
+        assert init.name == "Init(worker)"
+        assert repr(init) == "<_Initialize 'Init(worker)' state=triggered>"
+        kernel.run(until=1.0)
+        process.interrupt("stop")
+        (throw,) = [e for _, _, e in kernel._queue if isinstance(e, _Throw)]
+        assert throw.name == "Throw(worker)"
+        assert repr(throw) == "<_Throw 'Throw(worker)' state=triggered>"
+        with pytest.raises(Interrupt):
+            kernel.run()
+
+    def test_explicit_name_survives_and_name_is_settable(self, kernel):
+        event = kernel.event(name="gate")
+        assert event.name == "gate"
+        event.name = "renamed"
+        assert event.name == "renamed"
+        assert repr(event) == "<Event 'renamed' state=pending>"
+        timeout = kernel.timeout(1.0)
+        timeout.name = "deadline"
+        assert timeout.name == "deadline"
+        assert kernel.process(_sleeper(kernel), name="worker").name == "worker"
+        assert kernel.process(_sleeper(kernel)).name == "_sleeper"
+        assert kernel.event().name == "Event"
+        assert AnyOf(kernel, [kernel.event()]).name == "AnyOf"
+
+    def test_events_are_slotted_but_weakly_referenceable(self, kernel):
+        for event in (kernel.event(), kernel.timeout(1.0),
+                      kernel.call_later(1.0, lambda: None),
+                      kernel.process(_sleeper(kernel)),
+                      AllOf(kernel, [kernel.event()])):
+            assert not hasattr(event, "__dict__")
+            assert weakref.ref(event)() is event

@@ -1,5 +1,7 @@
 """Unit tests for datagram and stream endpoints."""
 
+import math
+
 import pytest
 
 from repro.simnet.sockets import (
@@ -371,6 +373,109 @@ class TestStreamSocket:
 
         kernel.call_later(0.5, listener.close)
         assert kernel.run_process(server(kernel)) == "closed"
+
+
+class TestRetransmitTimer:
+    """One retransmission clock per stream, moved by ack progress."""
+
+    def test_retransmission_fires_rto_after_last_ack_progress(
+        self, kernel, network, net_costs
+    ):
+        # 10 ms each way: acks for the first segments arrive after the
+        # lost one left, so they move the deadline of an armed timer.
+        hub = network.add_hub("slow", 1e7, 0.01, 38)
+        a = network.add_node("a")
+        b = network.add_node("b")
+        a.attach(hub)
+        b.attach(hub)
+        data_sends = []  # (time, seq) of every data segment a puts on the wire
+        transmit = hub.transmit
+
+        def dropping_transmit(sender, frame):
+            if frame.metadata.get("kind") == "data" and frame.src == a.address:
+                seq = frame.payload.seq
+                first_send = all(s != seq for _, s in data_sends)
+                data_sends.append((kernel.now, seq))
+                if seq == 2 and first_send:
+                    return kernel.now  # drop the first copy of segment 2
+            return transmit(sender, frame)
+
+        hub.transmit = dropping_transmit
+        received = []
+
+        def server(k):
+            listener = StreamListener(b, net_costs, 80)
+            stream = yield listener.accept()
+            for _ in range(5):
+                payload, _ = yield stream.recv()
+                received.append(payload)
+
+        progress = []
+
+        def client(k):
+            stream = yield StreamSocket.connect(a, net_costs, b.address, 80)
+            handle_ack = stream._handle_ack
+
+            def recording_handle_ack(ack_seq):
+                before = len(stream._unacked)
+                handle_ack(ack_seq)
+                if len(stream._unacked) < before:
+                    progress.append(k.now)
+
+            stream._handle_ack = recording_handle_ack
+            for index in range(5):
+                stream.send(index, 200)
+            yield stream.drained()
+            return stream.retransmissions
+
+        kernel.process(server(kernel))
+        retransmissions = kernel.run_process(client(kernel))
+        kernel.run()
+        assert received == list(range(5))
+        # Go-back-N from the lost segment: 2, 3 and 4 go out again.
+        assert retransmissions == 3
+        lost_at, resend_at = [t for t, seq in data_sends if seq == 2]
+        last_progress = max(t for t in progress if t < resend_at)
+        assert last_progress > lost_at  # the deadline moved after arming
+        assert resend_at == last_progress + StreamSocket.RTO
+
+    def test_lossless_transfer_schedules_few_timer_callbacks(
+        self, kernel, lan, net_costs
+    ):
+        """Acks move the deadline instead of leaving a dead timer behind:
+        timer callbacks scale with transfer time / RTO, not with segments."""
+        _, a, b = lan
+        count = 300
+        fired = []
+
+        def server(k):
+            listener = StreamListener(b, net_costs, 80)
+            stream = yield listener.accept()
+            for _ in range(count):
+                yield stream.recv()
+
+        def client(k):
+            stream = yield StreamSocket.connect(a, net_costs, b.address, 80)
+            on_timer = stream._on_retransmit_timer
+
+            def counting_on_timer(*args):
+                fired.append(k.now)
+                return on_timer(*args)
+
+            stream._on_retransmit_timer = counting_on_timer
+            start = k.now
+            for index in range(count):
+                stream.send(index, 200)
+                yield k.timeout(0.001)
+            yield stream.drained()
+            return stream, k.now - start
+
+        kernel.process(server(kernel))
+        stream, span = kernel.run_process(client(kernel))
+        kernel.run()  # let every pending timer callback fire
+        assert stream.retransmissions == 0
+        assert stream.messages_sent == count
+        assert len(fired) <= math.ceil(span / StreamSocket.RTO) + 1, len(fired)
 
 
 class TestDrainedWait:
