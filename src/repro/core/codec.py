@@ -38,6 +38,11 @@ declared size (an ``OBJ`` placeholder in the byte stream, the object
 riding alongside in :attr:`BinaryFrame.objs`).  Anything the codec cannot
 represent falls back to the canonical-JSON wire path per frame, counted by
 the transport's ``codec.fallback`` trace.
+
+Every receiver decodes every frame form -- JSON, binary, delta batches and
+compressed gossip -- whatever its own flags say.  ``codec_enabled`` and
+``compression_enabled`` are therefore pure sender policy: nothing is
+negotiated per peer.
 """
 
 from __future__ import annotations
@@ -92,11 +97,11 @@ FRAME_BATCH = 0x02
 FRAME_GOSSIP = 0x03
 #: Batch whose inner envelopes 2..n are field deltas against their
 #: predecessor (stream/origin/dst metadata repeats per envelope; only the
-#: fields that actually change ride the wire).  Sent only to peers that
-#: negotiated the ``z`` capability.
+#: fields that actually change ride the wire).  Sent by runtimes with
+#: compression on; every receiver decodes it.
 FRAME_BATCH_DELTA = 0x04
 #: Self-contained gossip body, zlib-compressed (bulk/full-state transfers).
-#: Sent only to peers that negotiated the ``z`` capability.
+#: Sent by runtimes with compression on; every receiver decodes it.
 FRAME_GOSSIP_Z = 0x05
 
 #: zlib level for block compression: 6 is the stdlib default trade-off and
@@ -116,7 +121,8 @@ DYNAMIC_LIMIT = 4096
 
 #: Protocol strings every encoder and decoder knows a priori (ids are the
 #: tuple indexes; the dynamic table starts right after).  Order is part of
-#: the wire protocol -- append, never reorder.
+#: the wire protocol -- append, never reorder, and keep retired entries
+#: (the old codec handshake's strings) so every later id stays put.
 STATIC_SYMBOLS: Tuple[str, ...] = (
     # envelope / batch framing
     "kind", "message", "batch", "count", "envelopes", "mime", "payload",
@@ -627,9 +633,8 @@ def encode_gossip(payload: dict, compress: bool = False) -> BinaryFrame:
 
     With ``compress=True`` the encoded body is zlib-deflated into a
     ``FRAME_GOSSIP_Z`` frame (varint raw length + deflate stream) -- the
-    block-compression form for bulk/full-state transfers.  Callers must
-    only send it to peers that negotiated the ``z`` capability; the CRC
-    still covers the compressed bytes, so corruption is caught before
+    block-compression form for bulk/full-state transfers.  The CRC still
+    covers the compressed bytes, so corruption is caught before
     inflation.  Falls back to the plain frame when deflate does not
     actually shrink the body (tiny payloads), keeping the compressed path
     never worse than the plain one.

@@ -802,7 +802,7 @@ class Directory:
         heartbeat: bool = False,
         to: Optional[List] = None,
         changed: Optional[List[TranslatorProfile]] = None,
-        compress_for: Optional[str] = None,
+        bulk: bool = False,
     ) -> None:
         if self._socket is None or self._socket.closed:
             return
@@ -823,18 +823,12 @@ class Directory:
         payload = self._announcement(profiles, removed, full, heartbeat, changed)
         if self.runtime.codec_enabled:
             # Self-contained binary body: datagrams carry their own symbol
-            # table, so every receiver (multicast included) can decode it
-            # without negotiation.  The charged size is the actual frame --
-            # codec-honest bandwidth modeling, not the JSON estimate.
-            # ``compress_for`` names the single unicast target of a bulk
-            # transfer (full-state pull reply / newcomer push): when that
-            # peer negotiated the z capability the body ships
-            # zlib-compressed.  Multicast is never compressed -- receivers
-            # that did not negotiate z could not decode the frame kind.
-            compress = bool(
-                compress_for
-                and self.runtime.transport.compression_ready(compress_for)
-            )
+            # table, so every receiver (multicast included) can decode it.
+            # The charged size is the actual frame -- codec-honest
+            # bandwidth modeling, not the JSON estimate.  ``bulk`` marks a
+            # unicast bulk transfer (full-state pull reply / newcomer
+            # push), the only body compression is applied to.
+            compress = bulk and self.runtime.compression_enabled
             try:
                 frame = encode_gossip(payload, compress=compress)
             except TypeError:
@@ -921,10 +915,9 @@ class Directory:
                 return
             payload = datagram.payload
             if isinstance(payload, BinaryFrame):
-                # Decode capability is unconditional: a JSON-era receiver
-                # build never sees binary datagrams, but a codec-capable
-                # build must accept them whether or not its own sending
-                # side has the flag on.
+                # Decode capability is unconditional: every receiver
+                # accepts binary (and compressed) datagrams whether or not
+                # its own sending side has the codec on.
                 try:
                     payload = decode_gossip(payload)
                 except CodecError as exc:
@@ -943,7 +936,7 @@ class Directory:
                     self._announce(
                         full=True,
                         to=[(Address(origin["address"]), origin["directory_port"])],
-                        compress_for=origin["id"],
+                        bulk=True,
                     )
                 continue
             if isinstance(kind, str) and kind.startswith("umiddle-shard-"):
@@ -1037,7 +1030,7 @@ class Directory:
             # Teach late joiners our state in one RTT instead of making
             # them wait for our next heartbeat + request round-trip.
             self._announce(
-                full=True, to=[(address, directory_port)], compress_for=runtime_id
+                full=True, to=[(address, directory_port)], bulk=True
             )
         if newcomer:
             # A membership change moves shard ownership: rebalance, re-push
@@ -1063,6 +1056,7 @@ class Directory:
         self, payload: dict, runtime_id: str, now: float, full: bool
     ) -> None:
         mentioned = set()
+        own = self.runtime.runtime_id
         digests = payload.get("digests")
         if digests is not None and len(digests) != len(payload["profiles"]):
             digests = None  # malformed pairing: fall back to recomputing
@@ -1074,6 +1068,12 @@ class Directory:
             mentioned.add(profile.translator_id)
             existing = self._entries.get(profile.translator_id)
             if existing is None:
+                if profile.runtime_id == own:
+                    # Own translators enter only through register: an add
+                    # for one not registered here is a stale shard-delta
+                    # echo that raced a local unregister.  Listeners must
+                    # not see it (a binding would bind a vanished port).
+                    continue
                 # Brand-new entries batch: one bulk index insert after the
                 # loop instead of per-profile set churn (cold-apply cost).
                 fresh.append(profile)

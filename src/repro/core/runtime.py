@@ -70,20 +70,20 @@ class UMiddleRuntime:
         self.runtime_id = name or f"umiddle-{next(_runtime_counter)}-{node.name}"
         #: Binary wire codec: envelopes, batch frames, gossip bodies, and
         #: journal records use the interned varint encoding from
-        #: :mod:`repro.core.codec` instead of canonical JSON; the transport
-        #: negotiates it per peer (``codec-hello``) and keeps speaking JSON
-        #: to peers that never answer.  Off by default -- the JSON paths
-        #: reproduce the pre-codec wire and journal bytes exactly.  Must be
-        #: set before the journal/directory/transport constructors below,
-        #: which all read it.
+        #: :mod:`repro.core.codec` instead of canonical JSON.  Sender
+        #: policy only: every runtime decodes binary frames whatever this
+        #: flag says, so nothing is negotiated per peer.  Off by default --
+        #: the JSON paths reproduce the pre-codec wire and journal bytes
+        #: exactly.  Must be set before the journal/directory/transport
+        #: constructors below, which all read it.
         self.codec_enabled = codec_enabled or compression_enabled
         #: Data-plane v3: intra-batch delta encoding, zlib block
-        #: compression for bulk/full-state transfers (negotiated per peer
-        #: via a ``codec-hello`` capability bit), compressed journal
-        #: checkpoints, and load-weighted shard placement.  Implies
-        #: ``codec_enabled`` -- the delta and compressed frames are binary
-        #: codec forms.  Off by default: wire bytes, journal bytes and
-        #: shard placement are byte-for-byte the pre-compression build.
+        #: compression for unicast bulk/full-state transfers, compressed
+        #: journal checkpoints, and load-weighted shard placement.  Sender
+        #: policy like the codec: every runtime decodes these frames.
+        #: Implies ``codec_enabled`` -- the delta and compressed frames are
+        #: binary codec forms.  Off by default: wire bytes, journal bytes
+        #: and shard placement are byte-for-byte the pre-compression build.
         self.compression_enabled = compression_enabled
         # The write-ahead journal must exist before the directory and
         # transport: both append records from their first state change.

@@ -139,8 +139,8 @@ WEIGHT_TIER_BASE = 64
 WEIGHT_REPORT_MAX = 32
 WEIGHT_REBALANCE_INTERVAL = 10.0
 
-#: Bulk shard-plane payloads at or above this declared size are eligible
-#: for zlib block compression when the peer negotiated the z capability.
+#: Bulk shard-plane payloads at or above this declared size ship
+#: zlib-compressed when the sending runtime has compression on.
 Z_MIN_BYTES = 512
 
 _IndexKey = Tuple[str, str]
@@ -2210,11 +2210,11 @@ class ShardRouter:
         through the fabric so placement still converges without a kernel.
         Self-targeted sends always short-circuit in process.
 
-        Bulk payloads (slice pushes, cold-ingest stores, anti-entropy
-        full syncs, initial subscription syncs) to peers that negotiated
-        the z capability ship as zlib-compressed self-contained frames
-        charged at their *actual* encoded size; everything else keeps the
-        declared-size dict datagram.
+        With compression on, bulk payloads (slice pushes, cold-ingest
+        stores, anti-entropy full syncs, initial subscription syncs) ship
+        as zlib-compressed self-contained frames charged at their *actual*
+        encoded size; everything else keeps the declared-size dict
+        datagram.
         """
         if runtime_id == self.runtime_id:
             self.handle(payload)
@@ -2224,9 +2224,7 @@ class ShardRouter:
             info = self.directory.runtime_info(runtime_id)
             if info is None:
                 return
-            if size >= Z_MIN_BYTES and self.runtime.transport.compression_ready(
-                runtime_id
-            ):
+            if size >= Z_MIN_BYTES and self.runtime.compression_enabled:
                 try:
                     frame = encode_gossip(payload, compress=True)
                 except TypeError:

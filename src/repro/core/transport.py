@@ -337,24 +337,14 @@ class Transport:
     def __init__(self, runtime: "UMiddleRuntime", port: int):
         self.runtime = runtime
         self.port = port
-        #: Binary wire codec: envelopes and batch frames to peers that
-        #: completed the ``codec-hello`` handshake ship as interned binary
-        #: frames; everything else stays canonical JSON (per-peer
-        #: fallback), so mixed-version federations interoperate.
+        #: Binary wire codec (sender policy): batch frames ship as
+        #: interned binary frames from the first byte.  Every receiver
+        #: decodes binary and JSON frames alike, so nothing is negotiated.
         self.codec = bool(getattr(runtime, "codec_enabled", False))
-        #: Data-plane v3: intra-batch delta encoding and zlib block
-        #: compression, negotiated per peer as a ``z`` capability bit on
-        #: the codec hello/welcome.  Implies the codec (the runtime
-        #: constructor enforces it); peers that never advertise ``z`` keep
-        #: receiving plain codec (or JSON) frames.
+        #: Data-plane v3 (sender policy): multi-envelope batches ship as
+        #: intra-batch delta frames.  Implies the codec (the runtime
+        #: constructor enforces it).
         self.compression = bool(getattr(runtime, "compression_enabled", False))
-        #: Peers confirmed (via hello/welcome) to decode binary frames.
-        self._codec_ready: set = set()
-        #: Peers confirmed (via the ``z`` capability bit) to decode delta
-        #: batches and compressed bulk frames.
-        self._z_ready: set = set()
-        #: Peers we already offered the codec to (one hello per peer).
-        self._hello_sent: set = set()
         #: Per-peer symbol-interning encoders, reset with their stream.
         self._encoders: Dict[str, WireEncoder] = {}
         #: Per-peer adaptive batching state.
@@ -468,14 +458,8 @@ class Transport:
         self._stream_seqs.clear()
         self._stream_reserved.clear()
         self._dedup.clear()
-        # Adaptive batching state is in-memory only (a recovered sender
-        # re-learns the load).  Codec negotiation dies here too, but the
-        # journaled ``codec-ready`` records let :meth:`recover` restore
-        # it, so a cold-crashed runtime resumes binary frames without
-        # respooling JSON until re-welcomed.
-        self._codec_ready.clear()
-        self._z_ready.clear()
-        self._hello_sent.clear()
+        # Adaptive batching state and symbol tables are in-memory only (a
+        # recovered sender re-learns the load and re-teaches its symbols).
         self._encoders.clear()
         self._adaptive.clear()
 
@@ -512,18 +496,6 @@ class Transport:
             entries[:] = kept
             if self.started and outbox and peer not in self._peer_senders:
                 self._spawn_sender(peer)
-        if self.codec:
-            # Journaled codec negotiations survive the cold crash: resume
-            # binary frames to every peer that welcomed (or offered) the
-            # codec, and suppress the redundant re-hello.
-            for peer in state.codec_peers:
-                self._codec_ready.add(peer)
-                self._hello_sent.add(peer)
-        if self.compression:
-            # Same for the journaled z-capability handshakes: delta and
-            # compressed frames resume without a renegotiation round-trip.
-            for peer in state.codec_z_peers:
-                self._z_ready.add(peer)
         for peer, snapshot in state.breakers.items():
             breaker = CircuitBreaker(
                 self.runtime.kernel,
@@ -755,13 +727,6 @@ class Transport:
             # spooling would only doom more envelopes.
             self.spool_flushed += 1
             return
-        if self.codec and runtime_id not in self._hello_sent:
-            # Offer the binary codec ahead of the first envelope (the
-            # guard is set before recursing, so the hello itself does not
-            # re-offer).  Until the peer's welcome arrives every frame
-            # ships as canonical JSON -- the mixed-version fallback.
-            self._hello_sent.add(runtime_id)
-            self._send_control(runtime_id, self._codec_hello())
         if stream is not None:
             seq = self._stream_seqs.get(stream, 0) + 1
             self._stream_seqs[stream] = seq
@@ -912,7 +877,7 @@ class Transport:
         )
         return attempts, backoff
 
-    # -- binary codec (per-peer negotiation + encoding) -----------------------
+    # -- binary codec -----------------------------------------------------
 
     def _codec_encoder(self, runtime_id: str) -> WireEncoder:
         encoder = self._encoders.get(runtime_id)
@@ -923,16 +888,13 @@ class Transport:
 
     def _encode_batch(self, runtime_id: str, envelopes: List[dict]):
         """Binary frame for a whole batch, or None for the JSON fallback."""
-        if not self.codec or runtime_id not in self._codec_ready:
-            if self.codec:
-                self.codec_fallbacks += 1
+        if not self.codec:
             return None
         encoder = self._codec_encoder(runtime_id)
         try:
-            if len(envelopes) >= 2 and runtime_id in self._z_ready:
+            if len(envelopes) >= 2 and self.compression:
                 # Delta-encode the repeated per-envelope metadata against
-                # the previous header -- only to peers that negotiated the
-                # z capability; everyone else gets the plain batch frame.
+                # the previous header.
                 frame = encoder.encode_batch_delta(envelopes)
                 self.delta_batches_sent += 1
                 return frame
@@ -1055,9 +1017,9 @@ class Transport:
 
         One fixed marshal cost covers the whole frame (that is the
         amortization); the per-byte cost still scales with the payload.
-        With the codec negotiated for ``runtime_id`` the whole batch ships
-        as one interned binary frame whose *actual* encoded bytes drive
-        both the marshal cost and the wire accounting."""
+        With the codec on, the whole batch ships as one interned binary
+        frame whose *actual* encoded bytes drive both the marshal cost and
+        the wire accounting."""
         kernel = self.runtime.kernel
         umiddle = self.runtime.calibration.umiddle
         total = 0
@@ -1212,14 +1174,6 @@ class Transport:
         breaker = self._breakers.get(runtime_id)
         if breaker is not None:
             breaker.probe_now()
-        if self.codec and runtime_id not in self._hello_sent:
-            # Negotiate the codec at discovery time, so by the time the
-            # first application envelope is spooled the peer's welcome has
-            # usually landed and the stream is binary from byte one
-            # (instead of spending the first pipeline window on JSON while
-            # the handshake is in flight).
-            self._hello_sent.add(runtime_id)
-            self._send_control(runtime_id, self._codec_hello())
 
     def _open_peer_stream(self, runtime_id: str) -> Generator:
         info = self.runtime.directory.runtime_info(runtime_id)
@@ -1334,37 +1288,6 @@ class Transport:
             path = self._paths_by_id.get(envelope["path_id"])
             if path is not None:
                 path.close()
-        elif kind == "codec-hello":
-            # The peer offers the binary codec (which also proves it can
-            # decode our frames).  Confirm with a welcome when we speak it
-            # too; otherwise stay silent -- the peer keeps sending JSON,
-            # which is the whole mixed-version story.
-            origin = envelope.get("origin")
-            if origin is None:
-                return
-            if self.codec:
-                self._note_codec_peer(origin)
-                if self.compression and "z" in envelope.get("caps", ()):
-                    self._note_z_peer(origin)
-                welcome = {"kind": "codec-welcome"}
-                if self.compression:
-                    # Advertise our own capabilities back; a peer without
-                    # compression reads only the kind and ignores this.
-                    welcome["caps"] = ["z"]
-                self._send_control(origin, welcome)
-            else:
-                self.codec_fallbacks += 1
-                self.runtime.trace(
-                    "codec.fallback",
-                    f"peer {origin} offered the binary codec; "
-                    "declining (codec disabled here)",
-                )
-        elif kind == "codec-welcome":
-            origin = envelope.get("origin")
-            if origin is not None and self.codec:
-                self._note_codec_peer(origin)
-                if self.compression and "z" in envelope.get("caps", ()):
-                    self._note_z_peer(origin)
         elif kind == "saga-invoke":
             self.runtime.sagas.handle_invoke(envelope)
         elif kind == "saga-result":
@@ -1373,37 +1296,6 @@ class Transport:
             self.runtime.trace(
                 "transport.protocol-error", f"unknown envelope kind {kind!r}"
             )
-
-    def _note_codec_peer(self, origin: str) -> None:
-        """Mark a peer binary-capable and journal the fact (``codec-ready``),
-        so a cold restart resumes binary frames instead of falling back to
-        JSON until a fresh hello/welcome round-trip."""
-        if origin in self._codec_ready:
-            return
-        self._codec_ready.add(origin)
-        self.runtime.journal.append("codec-ready", {"peer": origin})
-
-    def _codec_hello(self) -> dict:
-        """The codec offer, carrying the z capability bit when this
-        runtime speaks delta/compressed frames.  Pre-capability peers read
-        only the kind, so the extra field degrades transparently."""
-        hello = {"kind": "codec-hello"}
-        if self.compression:
-            hello["caps"] = ["z"]
-        return hello
-
-    def _note_z_peer(self, origin: str) -> None:
-        """Mark a peer delta/compression-capable and journal the fact
-        (``codec-z-ready``), mirroring :meth:`_note_codec_peer`."""
-        if origin in self._z_ready:
-            return
-        self._z_ready.add(origin)
-        self.runtime.journal.append("codec-z-ready", {"peer": origin})
-
-    def compression_ready(self, runtime_id: str) -> bool:
-        """True when bulk transfers to this peer may use compressed
-        frames (the z capability handshake completed both ways)."""
-        return self.compression and runtime_id in self._z_ready
 
     def _is_duplicate(self, origin: str, stream: str, seq: int) -> bool:
         """Receiver-side exactly-once window.

@@ -1,5 +1,5 @@
 """The binary wire codec: round-trip identity, corruption safety, and
-per-peer negotiation fallback.
+sender-policy flags over receivers that decode every frame form.
 
 The codec replaces canonical JSON on three surfaces -- transport
 envelopes/batches, directory gossip datagrams, and journal record bodies
@@ -9,8 +9,9 @@ envelopes/batches, directory gossip datagrams, and journal record bodies
   (after JSON's own key coercion), over fuzzed structures;
 - a truncated or bit-flipped frame raises :class:`CodecError` (or, for
   journal bodies, fails the record CRC) -- it never silently mis-decodes;
-- a federation where one peer never negotiates the codec keeps working:
-  frames to that peer stay JSON, frames to codec peers go binary.
+- the codec and compression flags are pure sender policy: a producer
+  with them on sends binary (and delta) frames to every peer, including
+  peers whose own flags are off, and every peer decodes them.
 """
 
 import json
@@ -519,18 +520,18 @@ class TestMixedVersionFederation:
         for index in range(count):
             out.send(UMessage("text/plain", f"m{index}", 120))
 
-    def test_json_only_peer_falls_back_per_peer(self):
+    def test_codec_off_sink_decodes_binary_frames(self):
         bed, producer, out, sinks = build_fanout([True, False], codec_enabled=True)
         self.send_burst(out)
         bed.settle(30.0)
         for _runtime, received in sinks:
             assert [m.payload for m in received] == [f"m{i}" for i in range(60)]
         transport = producer.transport
-        # Negotiation is per peer: the codec peer was welcomed, the
-        # JSON-only peer never answered the hello.
-        assert transport._codec_ready == {sinks[0][0].runtime_id}
-        assert transport.codec_frames_sent > 0
-        assert transport.codec_fallbacks > 0
+        # Nothing is negotiated: both peers received every message, and
+        # every batch -- to the codec-off sink too -- was a binary frame.
+        assert transport.codec_fallbacks == 0
+        assert transport.batches_sent > 0
+        assert transport.codec_frames_sent == transport.batches_sent
 
     def test_codec_off_everywhere_sends_no_binary_frames(self):
         bed, producer, out, sinks = build_fanout([False])
@@ -557,9 +558,9 @@ class TestMixedVersionFederation:
 
 
 class TestCompressionFederation:
-    """Mixed-version fallback for the z capability (PR 10): a peer that
-    negotiated only the codec must never see a delta or compressed frame,
-    and traffic must flow either way."""
+    """Compression is sender policy: a compression-on producer sends
+    delta batches to every peer, and every peer decodes them losslessly,
+    whatever its own flags."""
 
     def burst(self, bed, out, count=120):
         # Back-to-back sends so the batched sender accumulates
@@ -594,17 +595,36 @@ class TestCompressionFederation:
         bed.settle(0.5)
         return bed, producer, runtime, out, received
 
-    def test_codec_only_peer_never_sees_z_frames(self):
+    def test_codec_only_peer_decodes_delta_batches(self):
         bed, producer, peer, out, received = self.fanout_pair(
             peer_compression=False
         )
         self.burst(bed, out)
         assert [m.payload for m in received] == [f"m{i}" for i in range(120)]
-        # The codec negotiated, the z capability did not.
-        assert peer.runtime_id in producer.transport._codec_ready
-        assert not producer.transport.compression_ready(peer.runtime_id)
-        assert producer.transport.delta_batches_sent == 0
-        assert producer.shards.z_frames_sent == 0
+        assert producer.transport.delta_batches_sent > 0
+        assert producer.transport.codec_fallbacks == 0
+        assert bed.network.trace.count("transport.protocol-error") == 0
+
+    def test_cold_recovered_runtime_sends_binary_from_first_batch(self):
+        bed, producer, peer, out, received = self.fanout_pair(
+            peer_compression=True
+        )
+        self.burst(bed, out)
+        producer.crash(lose_state=True)
+        producer.recover()
+        bed.settle(5.0)
+        transport = producer.transport
+        batches = transport.batches_sent
+        frames = transport.codec_frames_sent
+        fallbacks = transport.codec_fallbacks
+        out.send(UMessage("text/plain", "after-recovery", 120))
+        bed.settle(2.0)
+        assert received[-1].payload == "after-recovery"
+        # The first post-recovery batch is binary (plain or delta), with
+        # no JSON fallback while the recovered runtime re-learns its peers.
+        assert transport.batches_sent == batches + 1
+        assert transport.codec_frames_sent == frames + 1
+        assert transport.codec_fallbacks == fallbacks
 
     def test_compression_everywhere_sends_delta_batches(self):
         bed, producer, peer, out, received = self.fanout_pair(
@@ -612,7 +632,6 @@ class TestCompressionFederation:
         )
         self.burst(bed, out)
         assert [m.payload for m in received] == [f"m{i}" for i in range(120)]
-        assert producer.transport.compression_ready(peer.runtime_id)
         assert producer.transport.delta_batches_sent > 0
         # Lossless: the peer received the identical message sequence, so
         # delta frames reconstructed every header byte-for-byte.

@@ -25,6 +25,8 @@ from repro.core.shard import (
     ShardStore,
     shard_of_key,
 )
+from repro.core.translator import Translator
+from repro.testbed import build_testbed
 
 from tests.core.test_directory_index import random_profile, random_query
 
@@ -365,3 +367,33 @@ class TestDigestFastPath:
         )
         assert payload["digests"] == [p.wire_digest for p in profiles]
         assert len(payload["digests"]) == len(payload["profiles"])
+
+
+class TestStaleOwnAdd:
+    """A shard owner's add-delta for one of our own translators can land
+    after we unregistered it; it must not re-announce the vanished
+    translator to a standing binding (which would bind a dead port and
+    abort the kernel) nor leave a ghost entry behind."""
+
+    @pytest.mark.parametrize("gap_s", [0.0, 0.0005, 0.001])
+    def test_unregister_racing_a_standing_binding_leaves_no_ghost(self, gap_s):
+        bed = build_testbed(hosts=[f"n{i}" for i in range(4)])
+        runtimes = [
+            bed.add_runtime(f"n{i}", sharding_enabled=True) for i in range(4)
+        ]
+        bed.settle(2.0)
+        n0 = runtimes[0]
+        source = Translator("sensor", role="sensor")
+        out = source.add_digital_output("out", "text/plain")
+        n0.register_translator(source)
+        binding = n0.connect_query(out, Query(role="display"))
+        bed.settle(2.0)
+        display = Translator("disp0", role="display")
+        display.add_digital_input("in", "text/plain", lambda message: None)
+        n0.register_translator(display)
+        if gap_s:
+            bed.settle(gap_s)
+        n0.unregister_translator(display)
+        bed.settle(5.0)
+        assert n0.lookup(Query(role="display")) == []
+        assert binding.bound_translators == []

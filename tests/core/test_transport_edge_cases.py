@@ -96,8 +96,8 @@ class TestControlProtocol:
     def test_relay_counter_counts_remote_messages(
         self, kernel, network, net_costs, codec
     ):
-        """Only message envelopes count: the connect request and the codec
-        hello/welcome are control envelopes."""
+        """Only message envelopes count: the connect request is a control
+        envelope."""
         rig = Rig(kernel, network, net_costs, codec_enabled=codec)
         r0, r1 = rig.runtimes
         _, out = make_source(r0)
