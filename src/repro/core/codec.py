@@ -40,9 +40,10 @@ represent falls back to the canonical-JSON wire path per frame, counted by
 the transport's ``codec.fallback`` trace.
 
 Every receiver decodes every frame form -- JSON, binary, delta batches and
-compressed gossip -- whatever its own flags say.  ``codec_enabled`` and
-``compression_enabled`` are therefore pure sender policy: nothing is
-negotiated per peer.
+compressed gossip -- whatever its own flags say.  ``codec_enabled`` is
+therefore pure sender policy: nothing is negotiated per peer.  A codec
+sender always uses its compact forms: delta frames for multi-envelope
+batches, zlib frames for bulk gossip.
 """
 
 from __future__ import annotations
@@ -88,8 +89,6 @@ _T_OBJ = 0x0B
 WIRE_MAGIC = 0xB1
 #: First byte of a binary journal record body (JSON bodies start with '{').
 JOURNAL_MAGIC = 0xB2
-#: First byte of a zlib-compressed binary journal record body.
-JOURNAL_MAGIC_Z = 0xB3
 
 #: Frame kinds (second byte of a wire frame).
 FRAME_ENVELOPE = 0x01
@@ -97,15 +96,15 @@ FRAME_BATCH = 0x02
 FRAME_GOSSIP = 0x03
 #: Batch whose inner envelopes 2..n are field deltas against their
 #: predecessor (stream/origin/dst metadata repeats per envelope; only the
-#: fields that actually change ride the wire).  Sent by runtimes with
-#: compression on; every receiver decodes it.
+#: fields that actually change ride the wire).  Codec senders use it for
+#: every batch frame.
 FRAME_BATCH_DELTA = 0x04
 #: Self-contained gossip body, zlib-compressed (bulk/full-state transfers).
-#: Sent by runtimes with compression on; every receiver decodes it.
+#: Codec senders use it for bulk payloads; every receiver decodes it.
 FRAME_GOSSIP_Z = 0x05
 
 #: zlib level for block compression: 6 is the stdlib default trade-off and
-#: deterministic for a given input, which the journal relies on.
+#: deterministic for a given input.
 _Z_LEVEL = 6
 #: Upper bound accepted for a compressed body's declared raw length; a
 #: corrupt or hostile header cannot make the decoder allocate unbounded
@@ -121,8 +120,9 @@ DYNAMIC_LIMIT = 4096
 
 #: Protocol strings every encoder and decoder knows a priori (ids are the
 #: tuple indexes; the dynamic table starts right after).  Order is part of
-#: the wire protocol -- append, never reorder, and keep retired entries
-#: (the old codec handshake's strings) so every later id stays put.
+#: the wire protocol -- append, never reorder, and keep a slot for every
+#: retired entry so every later id stays put.  A retired slot holds its
+#: old string or a ``~retired-<id>`` placeholder; no sender emits either.
 STATIC_SYMBOLS: Tuple[str, ...] = (
     # envelope / batch framing
     "kind", "message", "batch", "count", "envelopes", "mime", "payload",
@@ -150,10 +150,9 @@ STATIC_SYMBOLS: Tuple[str, ...] = (
     "binding_id", "open", "closed",
     # common mime types
     "text/plain", "application/json", "application/octet-stream",
-    # data-plane v3 (delta/compression/weighted placement) protocol strings.
-    # Appended after PR 9 -- append-only keeps every older id stable.
-    "caps", "z", "shard_load", "tiers", "codec-z-ready", "shard-weights",
-    "codec_z_peers", "shard_weights",
+    # data-plane v3 protocol strings, all retired.
+    "caps", "z", "~retired-95", "~retired-96", "codec-z-ready",
+    "~retired-98", "codec_z_peers", "~retired-100",
 )
 _STATIC_IDS: Dict[str, int] = {s: i for i, s in enumerate(STATIC_SYMBOLS)}
 _DYNAMIC_BASE = len(STATIC_SYMBOLS)
@@ -709,7 +708,7 @@ _NL_SUB = b"\x1bn"
 _ESC_SUB = b"\x1b\x1b"
 
 
-def encode_journal_body(record: dict, compress: bool = False) -> bytes:
+def encode_journal_body(record: dict) -> bytes:
     """Encode one journal record body (``{"data", "kind", "lsn"}``).
 
     The body must coexist with the journal's line framing: a leading
@@ -720,30 +719,16 @@ def encode_journal_body(record: dict, compress: bool = False) -> bytes:
     so replay and tail-repair semantics are untouched.  Raises
     :class:`TypeError` (before any state changes) for non-representable
     data, mirroring ``json.dumps``.
-
-    With ``compress=True`` the encoded value bytes are zlib-deflated
-    before escaping and the body leads with :data:`JOURNAL_MAGIC_Z`
-    instead -- used for checkpoint records, which are whole-state blobs.
-    Deflate is only kept when it actually shrinks the body, so small
-    checkpoints stay plain and the choice is deterministic for a given
-    record.
     """
     encoder = WireEncoder()
     buf = bytearray()
     encoder._write_value(buf, record)
-    raw = bytes(buf)
-    magic = JOURNAL_MAGIC
-    if compress:
-        packed = zlib.compress(raw, _Z_LEVEL)
-        if len(packed) < len(raw):
-            raw = packed
-            magic = JOURNAL_MAGIC_Z
-    escaped = raw.replace(_ESC_BYTE, _ESC_SUB).replace(b"\n", _NL_SUB)
-    return bytes((magic,)) + escaped
+    escaped = bytes(buf).replace(_ESC_BYTE, _ESC_SUB).replace(b"\n", _NL_SUB)
+    return bytes((JOURNAL_MAGIC,)) + escaped
 
 
 def is_binary_journal_body(body: bytes) -> bool:
-    return body[:1] in (bytes((JOURNAL_MAGIC,)), bytes((JOURNAL_MAGIC_Z,)))
+    return body[:1] == bytes((JOURNAL_MAGIC,))
 
 
 def decode_journal_body(body: bytes) -> dict:
@@ -771,11 +756,6 @@ def decode_journal_body(body: bytes) -> dict:
             unescaped.append(byte)
         i += 1
     raw = bytes(unescaped)
-    if body[0] == JOURNAL_MAGIC_Z:
-        try:
-            raw = zlib.decompress(raw)
-        except zlib.error as exc:
-            raise CodecError(f"corrupt compressed journal body: {exc}") from exc
     decoder = WireDecoder()
     reader = _Reader(raw, 0, len(raw))
     record = decoder._read_value(reader, None)

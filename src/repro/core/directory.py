@@ -725,6 +725,10 @@ class Directory:
     def _local_profiles(self) -> List[TranslatorProfile]:
         return [e.profile for e in self._entries.values() if e.local]
 
+    def is_local(self, translator_id: str) -> bool:
+        entry = self._entries.get(translator_id)
+        return entry is not None and entry.local
+
     def _bump_version(self) -> None:
         self._version += 1
         self._digest_cache = None
@@ -777,13 +781,6 @@ class Directory:
             # Health-only delta: receivers swap the entry in place and fire
             # `changed` instead of removed + added.
             payload["changed"] = [p.to_dict() for p in changed]
-        load = self.runtime.shards.load_report()
-        if load:
-            # Load-weighted placement: piggyback this owner's quantized
-            # per-shard load tiers on the announcements it already sends.
-            # Absent unless weighting is active *and* some shard is above
-            # baseline, so default-off announcements are byte-identical.
-            payload["shard_load"] = load
         return payload
 
     def _estimate_size(self, profiles, removed, changed=()) -> int:
@@ -828,9 +825,8 @@ class Directory:
             # bandwidth modeling, not the JSON estimate.  ``bulk`` marks a
             # unicast bulk transfer (full-state pull reply / newcomer
             # push), the only body compression is applied to.
-            compress = bulk and self.runtime.compression_enabled
             try:
-                frame = encode_gossip(payload, compress=compress)
+                frame = encode_gossip(payload, compress=bulk)
             except TypeError:
                 self.codec_fallbacks += 1
                 self.runtime.trace(
@@ -1023,9 +1019,6 @@ class Directory:
                 )
                 self._request_full_state(address, directory_port)
 
-        load = payload.get("shard_load")
-        if load is not None:
-            self.runtime.shards.note_peer_load(runtime_id, load)
         if newcomer and self.started:
             # Teach late joiners our state in one RTT instead of making
             # them wait for our next heartbeat + request round-trip.

@@ -154,22 +154,18 @@ def durable_media(network: "Network") -> DurableMedia:
     return media
 
 
-def encode_record(
-    lsn: int, kind: str, data: dict, binary: bool = False, compress: bool = False
-) -> bytes:
+def encode_record(lsn: int, kind: str, data: dict, binary: bool = False) -> bytes:
     """One checksummed, line-framed journal record.
 
     With ``binary=True`` the body is the escaped binary codec encoding
     (magic byte ``0xB2``, see :mod:`repro.core.codec`) instead of
     canonical JSON; the line framing and CRC are identical either way,
     and mixed blobs replay fine -- each body declares its own format in
-    its first byte.  ``compress=True`` (binary only) additionally
-    zlib-deflates the body (magic ``0xB3``) when that shrinks it -- used
-    for checkpoint records, which serialize the whole mirror.
+    its first byte.
     """
     record = {"data": data, "kind": kind, "lsn": lsn}
     if binary:
-        body = encode_journal_body(record, compress=compress)
+        body = encode_journal_body(record)
     else:
         body = canonical_json(record)
     return _frame([body])
@@ -310,11 +306,6 @@ class RecoveredState:
     #: every saga invocation this runtime durably applied, so a re-driven
     #: step after recovery re-replies instead of re-applying.
     saga_applied: Dict[str, dict] = field(default_factory=dict)
-    #: last journaled load-weight placement state (``shard-weights``):
-    #: {"epoch": int, "tiers": {str(shard): tier}} -- restoring it before
-    #: placement keeps weighted shard assignment deterministic across
-    #: recovery.
-    shard_weights: Dict[str, object] = field(default_factory=dict)
     applied_records: int = 0
     discarded_bytes: int = 0
 
@@ -347,7 +338,6 @@ class Journal:
         enabled: bool = True,
         fsync_interval: float = 0.0,
         binary: bool = False,
-        compress: bool = False,
     ):
         self.runtime = runtime
         self.media = media
@@ -358,10 +348,6 @@ class Journal:
         #: flag across restarts (or recovering a JSON-era blob with the
         #: codec on) needs no migration.
         self.binary = binary
-        #: zlib-deflate checkpoint record bodies (binary codec only).
-        #: Also write-side only: replay discriminates by the body's magic
-        #: byte, so compressed and plain checkpoints coexist in one blob.
-        self.compress = compress and binary
         #: True while the runtime is crashed or replaying: appends dropped.
         self.muted = False
         self._pending = bytearray()
@@ -609,10 +595,7 @@ class Journal:
                 peer: [[envelope, size] for envelope, size in entries]
                 for peer, entries in self._mirror.spool.items()
             }
-            record = encode_record(
-                1, "checkpoint", self._checkpoint_data(spool), True,
-                compress=self.compress,
-            )
+            record = encode_record(1, "checkpoint", self._checkpoint_data(spool), True)
         else:
             record = assemble_checkpoint(
                 self._checkpoint_data(), self._encoded_spool()
@@ -675,8 +658,6 @@ class Journal:
             data["sagas"] = mirror.sagas
         if mirror.saga_applied:
             data["saga_applied"] = mirror.saga_applied
-        if mirror.shard_weights:
-            data["shard_weights"] = mirror.shard_weights
         return data
 
     def _flush_timer(self) -> None:
@@ -904,11 +885,6 @@ class Journal:
             state.sagas.pop(data["saga_id"], None)
         elif kind == "saga-applied":
             state.saga_applied[data["key"]] = {"seq": data["seq"]}
-        elif kind == "shard-weights":
-            state.shard_weights = {
-                "epoch": int(data.get("epoch", 0)),
-                "tiers": dict(data.get("tiers", {})),
-            }
         elif kind == "checkpoint":
             state.registered = {
                 key: dict(value) for key, value in data["registered"].items()
@@ -955,7 +931,6 @@ class Journal:
                 key: dict(value)
                 for key, value in data.get("saga_applied", {}).items()
             }
-            state.shard_weights = dict(data.get("shard_weights", {}))
         elif kind == "breaker":
             if data.get("state") == "closed":
                 state.breakers.pop(data["peer"], None)

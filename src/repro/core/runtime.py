@@ -61,7 +61,6 @@ class UMiddleRuntime:
         shard_count: int = DEFAULT_SHARD_COUNT,
         replication_factor: int = 1,
         codec_enabled: bool = False,
-        compression_enabled: bool = False,
     ):
         self.node = node
         self.kernel: Kernel = node.network.kernel
@@ -70,21 +69,17 @@ class UMiddleRuntime:
         self.runtime_id = name or f"umiddle-{next(_runtime_counter)}-{node.name}"
         #: Binary wire codec: envelopes, batch frames, gossip bodies, and
         #: journal records use the interned varint encoding from
-        #: :mod:`repro.core.codec` instead of canonical JSON.  Sender
-        #: policy only: every runtime decodes binary frames whatever this
-        #: flag says, so nothing is negotiated per peer.  Off by default --
-        #: the JSON paths reproduce the pre-codec wire and journal bytes
-        #: exactly.  Must be set before the journal/directory/transport
-        #: constructors below, which all read it.
-        self.codec_enabled = codec_enabled or compression_enabled
-        #: Data-plane v3: intra-batch delta encoding, zlib block
-        #: compression for unicast bulk/full-state transfers, compressed
-        #: journal checkpoints, and load-weighted shard placement.  Sender
-        #: policy like the codec: every runtime decodes these frames.
-        #: Implies ``codec_enabled`` -- the delta and compressed frames are
-        #: binary codec forms.  Off by default: wire bytes, journal bytes
-        #: and shard placement are byte-for-byte the pre-compression build.
-        self.compression_enabled = compression_enabled
+        #: :mod:`repro.core.codec` instead of canonical JSON, in its
+        #: compact forms: batches ship as intra-batch delta frames, and
+        #: unicast bulk transfers (directory full-state replies, bulk
+        #: shard-plane payloads) as zlib frames.
+        #: Sender policy only: every runtime decodes every frame form
+        #: whatever this flag says, so nothing is negotiated per peer.  Off
+        #: by default -- the JSON paths reproduce the pre-codec wire and
+        #: journal bytes exactly.  Must be set before the
+        #: journal/directory/transport constructors below, which all read
+        #: it.
+        self.codec_enabled = codec_enabled
         # The write-ahead journal must exist before the directory and
         # transport: both append records from their first state change.
         # The durable media lives on the network, so a journal constructed
@@ -95,7 +90,6 @@ class UMiddleRuntime:
             enabled=journal_enabled,
             fsync_interval=fsync_interval,
             binary=self.codec_enabled,
-            compress=compression_enabled,
         )
         # Health machinery must exist before the directory and transport:
         # both consult it from their constructors onward.

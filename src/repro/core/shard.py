@@ -127,20 +127,8 @@ CACHE_TTL = 2.0
 #: runtimes of a federation must use the same value.
 KEY_SPLIT = 32
 
-#: Load-weighted placement (data-plane v3).  Per-shard load is quantized
-#: into log2 *tiers* of WEIGHT_TIER_BASE profiles: a shard holding fewer
-#: than the base is tier 0 (baseline) and contributes nothing, so small
-#: federations keep the exact unweighted rendezvous table.  Reports ride
-#: directory announcements capped at WEIGHT_REPORT_MAX entries, and a
-#: router adopts a changed merged view at most once per
-#: WEIGHT_REBALANCE_INTERVAL simulated seconds (hysteresis: quantization
-#: absorbs jitter, the interval absorbs report races).
-WEIGHT_TIER_BASE = 64
-WEIGHT_REPORT_MAX = 32
-WEIGHT_REBALANCE_INTERVAL = 10.0
-
 #: Bulk shard-plane payloads at or above this declared size ship
-#: zlib-compressed when the sending runtime has compression on.
+#: zlib-compressed when the sending runtime has the codec on.
 Z_MIN_BYTES = 512
 
 _IndexKey = Tuple[str, str]
@@ -197,67 +185,25 @@ def _weight(seed: int, shard: int) -> int:
     return x ^ (x >> 31)
 
 
-#: Owner tables keyed by (member tuple, shard count, load-tier key).
-#: Every router of a converged federation asks for the identical table,
-#: so the rendezvous sweep runs once per membership view per process.
-_TABLE_CACHE: Dict[
-    Tuple[Tuple[str, ...], int, Tuple[Tuple[int, int], ...]], Tuple[str, ...]
-] = {}
+#: Owner tables keyed by (member tuple, shard count).  Every router of a
+#: converged federation asks for the identical table, so the rendezvous
+#: sweep runs once per membership view per process.
+_TABLE_CACHE: Dict[Tuple[Tuple[str, ...], int], Tuple[str, ...]] = {}
 
 
-def _owner_table(
-    members: Tuple[str, ...],
-    shard_count: int,
-    load_key: Tuple[Tuple[int, int], ...] = (),
-) -> Tuple[str, ...]:
-    cache_key = (members, shard_count, load_key)
+def _owner_table(members: Tuple[str, ...], shard_count: int) -> Tuple[str, ...]:
+    cache_key = (members, shard_count)
     table = _TABLE_CACHE.get(cache_key)
     if table is None:
         seeds = [(_member_seed(member), member) for member in members]
-        if not load_key:
-            table = tuple(
-                max(seeds, key=lambda pair: _weight(pair[0], shard))[1]
-                for shard in range(shard_count)
-            )
-        else:
-            table = _weighted_owner_table(seeds, shard_count, load_key)
+        table = tuple(
+            max(seeds, key=lambda pair: _weight(pair[0], shard))[1]
+            for shard in range(shard_count)
+        )
         if len(_TABLE_CACHE) > 64:
             _TABLE_CACHE.clear()
         _TABLE_CACHE[cache_key] = table
     return table
-
-
-def _weighted_owner_table(
-    seeds: List[Tuple[int, str]],
-    shard_count: int,
-    load_key: Tuple[Tuple[int, int], ...],
-) -> Tuple[str, ...]:
-    """Rendezvous assignment biased by observed per-shard load.
-
-    Shards are assigned in descending load-tier order (ties by shard
-    number, so the sweep is deterministic); each one goes to the member
-    maximizing ``rendezvous_weight / (1 + fill)``, where ``fill`` is the
-    load already assigned to that member in this sweep.  A member that
-    drew a hot sub-shard therefore scores lower for the next hot shard,
-    which is exactly the "fattest node wins too many lotteries" failure
-    the plain argmax has.  With an empty ``load_key`` callers get the
-    plain sweep (byte-identical placement to the unweighted directory).
-    """
-    tiers = dict(load_key)
-    fill: Dict[str, int] = {member: 0 for _seed, member in seeds}
-    order = sorted(range(shard_count), key=lambda s: (-tiers.get(s, 0), s))
-    assignment: List[Optional[str]] = [None] * shard_count
-    for shard in order:
-        best: Optional[str] = None
-        best_score = -1.0
-        for seed, member in seeds:
-            score = _weight(seed, shard) / (1.0 + fill[member])
-            if score > best_score:
-                best_score = score
-                best = member
-        assignment[shard] = best
-        fill[best] += 1 + tiers.get(shard, 0)
-    return tuple(assignment)
 
 
 class ShardMap:
@@ -277,13 +223,6 @@ class ShardMap:
         self.members: Tuple[str, ...] = ()
         self.version = 0
         self._table: Tuple[str, ...] = ()
-        #: shard -> log2-quantized load tier (absent/0 = baseline).  Empty
-        #: (the default) keeps the plain rendezvous sweep byte for byte;
-        #: non-empty biases the assignment via the weighted sweep.
-        self.load_tiers: Dict[int, int] = {}
-
-    def _load_key(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(self.load_tiers.items()))
 
     def rebuild(self, members: Iterable[str]) -> bool:
         """Recompute the assignment; True when the view actually changed."""
@@ -292,33 +231,7 @@ class ShardMap:
             return False
         self.members = ordered
         self.version += 1
-        self._table = (
-            _owner_table(ordered, self.shard_count, self._load_key())
-            if ordered
-            else ()
-        )
-        return True
-
-    def set_load(self, tiers: Dict[int, int]) -> bool:
-        """Replace the load-tier view and re-place; True when it changed.
-
-        Tiers are already hysteresis-filtered by the router; only
-        positive tiers for in-range shards are kept, so an all-baseline
-        report is identical to no report.
-        """
-        cleaned = {
-            shard: tier
-            for shard, tier in tiers.items()
-            if tier > 0 and 0 <= shard < self.shard_count
-        }
-        if cleaned == self.load_tiers:
-            return False
-        self.load_tiers = cleaned
-        self.version += 1
-        if self.members:
-            self._table = _owner_table(
-                self.members, self.shard_count, self._load_key()
-            )
+        self._table = _owner_table(ordered, self.shard_count) if ordered else ()
         return True
 
     def owner(self, shard: int) -> Optional[str]:
@@ -328,21 +241,12 @@ class ShardMap:
 
     def owners_ranked(self, shard: int) -> List[str]:
         """Members by descending rendezvous weight (deterministic failover
-        order while a membership change is still propagating).  Under
-        weighted placement the assigned owner leads regardless of its raw
-        weight, so replica selection (ranks 1..R-1) and failover stay
-        consistent with the table."""
-        ranked = sorted(
+        order while a membership change is still propagating)."""
+        return sorted(
             self.members,
             key=lambda member: _weight(_member_seed(member), shard),
             reverse=True,
         )
-        if self.load_tiers and self._table:
-            owner = self._table[shard]
-            if owner in ranked and ranked[0] != owner:
-                ranked.remove(owner)
-                ranked.insert(0, owner)
-        return ranked
 
     def owned_by(self, member: str) -> FrozenSet[int]:
         return frozenset(
@@ -453,6 +357,50 @@ class ShardStore:
         for shard in added_shards:
             self._shards.setdefault(shard, set()).add(tid)
         return content_changed, bool(added_shards), previous
+
+    def store_slice(
+        self, shard: int, profiles: Iterable[TranslatorProfile]
+    ) -> Tuple[List[TranslatorProfile], List[TranslatorProfile], List[TranslatorProfile]]:
+        """Bulk :meth:`store` of one shard's slice under that one shard
+        (replica promotion).
+
+        A promoted profile is mostly held already, under another of its
+        shards, with the same content (equal digests, as for
+        ``TranslatorProfile.from_dict`` interning): only its placement
+        grows, inline.  Anything else goes through :meth:`store`.  Returns
+        ``(content_changed, stored, entered)``: the profiles whose content
+        changed, those whose content or placement changed, and those that
+        were not in the store before."""
+        changed: List[TranslatorProfile] = []
+        stored: List[TranslatorProfile] = []
+        entered: List[TranslatorProfile] = []
+        held = self._profiles
+        placements = self._placements
+        bucket = self._shards.setdefault(shard, set())
+        for profile in profiles:
+            tid = profile.translator_id
+            previous = held.get(tid)
+            if previous is not None and (
+                previous is profile or previous.wire_digest == profile.wire_digest
+            ):
+                placement = placements[tid]
+                if shard not in placement:
+                    placement.add(shard)
+                    bucket.add(tid)
+                    stored.append(profile)
+                continue
+            content_changed, placement_changed, previous = self.store(
+                profile, (shard,)
+            )
+            if content_changed:
+                changed.append(profile)
+            if content_changed or placement_changed:
+                stored.append(profile)
+            if previous is None:
+                entered.append(profile)
+        if not bucket:
+            del self._shards[shard]
+        return changed, stored, entered
 
     def remove(self, translator_id: str) -> Optional[TranslatorProfile]:
         profile = self._profiles.pop(translator_id, None)
@@ -629,13 +577,6 @@ class ShardRouter:
         #: peer whose lease expiry fires later may still serve them).
         self._lost_origins: Set[str] = set()
         self._key_shards: Dict[_IndexKey, int] = {}
-        #: Load-weighted placement state (data-plane v3, gated on the
-        #: runtime's ``compression_enabled``): per-origin quantized load
-        #: reports, the monotonic journaled weight epoch, and the stamp of
-        #: the last adopted view (hysteresis).
-        self._peer_loads: Dict[str, Dict[int, int]] = {}
-        self.weight_epoch = 0
-        self._last_weight_change = 0.0
         #: routing key -> (stamp, bucket) hot-key cache for routed lookups.
         self._cache: Dict[_IndexKey, Tuple[float, Tuple[TranslatorProfile, ...]]] = {}
         #: outgoing standing-query interest: route key (None = everything)
@@ -660,7 +601,6 @@ class ShardRouter:
         self.pushes_sent = 0
         self.direct_dispatches = 0
         self.rebalances = 0
-        self.weight_rebalances = 0
         self.z_frames_sent = 0
         self.z_bytes_saved = 0
         # replication counters (all zero at replication_factor=1)
@@ -702,124 +642,6 @@ class ShardRouter:
         journal record, wire frame and epoch bump is gated on this, so
         ``replication_factor=1`` stays byte-for-byte the PR 6 path."""
         return self.replication_factor > 1
-
-    @property
-    def weighted(self) -> bool:
-        """True when load-weighted placement is active.  Rides the
-        runtime's compression flag (the opt-in data-plane v3 layer), so
-        the default-off shard map is byte-for-byte the unweighted one."""
-        return self.enabled and bool(
-            getattr(self.runtime, "compression_enabled", False)
-        )
-
-    # -- load-weighted placement -------------------------------------------
-
-    def local_load_tiers(self) -> Dict[int, int]:
-        """This node's observed per-shard load, log2-quantized.  Shards
-        below WEIGHT_TIER_BASE profiles are baseline (absent), so small
-        populations produce an empty report and the unweighted table."""
-        tiers: Dict[int, int] = {}
-        for shard, tids in self.store._shards.items():
-            count = len(tids)
-            if count >= WEIGHT_TIER_BASE:
-                tiers[shard] = (count // WEIGHT_TIER_BASE).bit_length()
-        return tiers
-
-    def load_report(self) -> Optional[dict]:
-        """The announcement-piggybacked load block (top shards only), or
-        None when weighting is off or everything is baseline -- absent
-        blocks keep default-off announcements byte-identical."""
-        if not self.weighted or not self.active:
-            return None
-        tiers = self.local_load_tiers()
-        if not tiers:
-            return None
-        top = sorted(tiers.items(), key=lambda item: (-item[1], item[0]))
-        return {
-            "epoch": self.weight_epoch,
-            "tiers": {str(shard): tier for shard, tier in top[:WEIGHT_REPORT_MAX]},
-        }
-
-    def note_peer_load(self, origin: str, block: dict) -> None:
-        """Fold one peer's announced load report into the merged view and
-        re-place if hysteresis allows."""
-        if not self.weighted or not self.active:
-            return
-        try:
-            tiers = {
-                int(shard): int(tier)
-                for shard, tier in dict(block.get("tiers", {})).items()
-                if int(tier) > 0
-            }
-        except (TypeError, ValueError):
-            return
-        if self._peer_loads.get(origin) == tiers:
-            return
-        self._peer_loads[origin] = tiers
-        self._maybe_reweight()
-
-    def _merged_tiers(self) -> Dict[int, int]:
-        """Max-merge of every origin's report plus our own observation.
-        Max (not sum): a shard's load is observed by its single owner,
-        and max keeps one stale report from a previous owner harmless."""
-        merged = dict(self.local_load_tiers())
-        for tiers in self._peer_loads.values():
-            for shard, tier in tiers.items():
-                if tier > merged.get(shard, 0):
-                    merged[shard] = tier
-        return merged
-
-    def _maybe_reweight(self) -> None:
-        """Adopt a changed merged load view: journal a new weight epoch
-        (placement must replay deterministically across cold recovery),
-        re-place, and rebalance through the normal ownership machinery
-        (journaled transitions, warm-ingest handoff, re-push)."""
-        now = self.runtime.kernel.now
-        if now - self._last_weight_change < WEIGHT_REBALANCE_INTERVAL:
-            return
-        merged = self._merged_tiers()
-        if merged == self.map.load_tiers:
-            return
-        self._last_weight_change = now
-        self.weight_epoch += 1
-        self.runtime.journal.append(
-            "shard-weights",
-            {
-                "epoch": self.weight_epoch,
-                "tiers": {str(shard): tier for shard, tier in sorted(merged.items())},
-            },
-        )
-        self.map.set_load(merged)
-        self.weight_rebalances += 1
-        if self.runtime.tracing:
-            self.runtime.trace(
-                "shard.reweight",
-                f"weight epoch {self.weight_epoch}: "
-                f"{len(merged)} hot shard(s) biased",
-                epoch=self.weight_epoch,
-                hot_shards=len(merged),
-            )
-        self.membership_changed(force=True)
-
-    def apply_load_tiers(self, tiers: Dict[int, int]) -> bool:
-        """Offline/bench hook: adopt a load-tier view directly (no gossip,
-        no hysteresis) and recompute ownership, mirroring
-        :meth:`seed_members`.  True when placement changed."""
-        merged = {int(s): int(t) for s, t in tiers.items() if int(t) > 0}
-        if merged == self.map.load_tiers:
-            return False
-        self.weight_epoch += 1
-        self.runtime.journal.append(
-            "shard-weights",
-            {
-                "epoch": self.weight_epoch,
-                "tiers": {str(shard): tier for shard, tier in sorted(merged.items())},
-            },
-        )
-        self.map.set_load(merged)
-        self.weight_rebalances += 1
-        self._owned = self.map.owned_by(self.runtime_id)
-        return True
 
     def _peer_router(self, fabric: ShardFabric, runtime_id: str):
         """The peer's in-process router, but only when the simulated
@@ -893,10 +715,6 @@ class ShardRouter:
         self._shard_epochs.clear()
         self._provisional.clear()
         self.epoch = 0
-        self._peer_loads.clear()
-        self.weight_epoch = 0
-        self._last_weight_change = 0.0
-        self.map.set_load({})
 
     def recover(self, state: "RecoveredState") -> None:
         """Rebuild the owned shards (and any replica slices plus the
@@ -904,21 +722,6 @@ class ShardRouter:
         recovery with appends muted)."""
         if not self.enabled:
             return
-        if self.weighted and state.shard_weights:
-            # Restore the journaled weight epoch *before* any placement
-            # math: a recovered owner must compute the same weighted
-            # table it crashed with, or its journaled shard-own view
-            # would contradict the table it rebuilds.
-            self.weight_epoch = int(state.shard_weights.get("epoch", 0))
-            self._last_weight_change = self.runtime.kernel.now
-            self.map.set_load(
-                {
-                    int(shard): int(tier)
-                    for shard, tier in dict(
-                        state.shard_weights.get("tiers", {})
-                    ).items()
-                }
-            )
         for entry in state.shard_entries.values():
             profile = TranslatorProfile.from_dict(entry["profile"])
             self.store.store(profile, entry["shards"])
@@ -1033,36 +836,32 @@ class ShardRouter:
         promoted = 0
         dropped = []
         promoted_slices: Dict[str, List[str]] = {}
-        local_ids = {
-            profile.translator_id
-            for profile in self.directory._local_profiles()
-        }
+        is_local = self.directory.is_local
+        me = self.runtime_id
+        lost = self._lost_origins
         now = self.runtime.kernel.now
+        journaled = self.runtime.journal.enabled
         for shard in sorted(gained):
             slice_ = self.replicas.get(shard)
             if slice_ is None:
                 continue
-            added = []
-            stored_tids = []
-            replica_batch = []
-            for profile in slice_.entries.values():
-                if profile.runtime_id in self._lost_origins:
-                    continue
-                if (
-                    profile.runtime_id == self.runtime_id
-                    and profile.translator_id not in local_ids
-                ):
+            added, replica_batch, entered = self.store.store_slice(
+                shard,
+                [
+                    profile
+                    for profile in slice_.entries.values()
                     # Our own registrations are authoritative locally: a
                     # replicated copy of a profile we since unregistered
                     # must not come back.
-                    continue
-                content_changed, placement_changed, previous = (
-                    self.store.store(profile, (shard,))
-                )
-                if (
-                    previous is None
-                    and profile.runtime_id != self.runtime_id
-                ):
+                    if profile.runtime_id not in lost
+                    and (
+                        profile.runtime_id != me
+                        or is_local(profile.translator_id)
+                    )
+                ],
+            )
+            for profile in entered:
+                if profile.runtime_id != me:
                     # Only promotions that *enter* the store are
                     # provisional.  An entry already held is independently
                     # justified (journal recovery or a direct origin
@@ -1073,14 +872,12 @@ class ShardRouter:
                     self._provisional.setdefault(profile.runtime_id, {})[
                         profile.translator_id
                     ] = now
-                if content_changed:
-                    added.append(profile)
-                if content_changed or placement_changed:
-                    stored_tids.append(profile.translator_id)
-                    replica_batch.append(profile)
-            if stored_tids:
-                promoted_slices[str(shard)] = sorted(stored_tids)
-                promoted += len(stored_tids)
+            if replica_batch:
+                promoted += len(replica_batch)
+                if journaled:
+                    promoted_slices[str(shard)] = sorted(
+                        profile.translator_id for profile in replica_batch
+                    )
             if added:
                 self._emit_deltas(added=added, removed=())
             if replica_batch and shard in self._owned:
@@ -1236,7 +1033,6 @@ class ShardRouter:
             return
         self._lost_origins.add(runtime_id)
         self._provisional.pop(runtime_id, None)
-        self._peer_loads.pop(runtime_id, None)
         self._interest_drop_subscriber(runtime_id)
         if self.replicated and self.replicas.drop_origin(runtime_id):
             # Replica slices reap lost origins too (the tombstone extends
@@ -1300,10 +1096,6 @@ class ShardRouter:
             )
         # A tombstoned origin that reannounced is alive again.
         self._lost_origins -= set(self.directory._runtimes)
-        if self.weighted:
-            # Our own shards may have grown hot since the last report;
-            # hysteresis inside keeps this from thrashing.
-            self._maybe_reweight()
         # Backstop for the reconcile: a provisional promotion whose origin
         # never restated it within a full lease is stale.  A live origin
         # rebalances (and completely re-pushes) within a lease of the
@@ -1439,22 +1231,26 @@ class ShardRouter:
         profiles: List[TranslatorProfile],
         shard_lists: Optional[List[List[int]]] = None,
     ) -> None:
-        """Owner side of placement: store each profile under the union of
-        the sender-directed shards and the owned subset of its key shards,
-        journal the mutation, and stream deltas to interested subscribers.
+        """Owner side of placement: store each profile under its
+        sender-directed shards (or, for a push without shard lists, the
+        owned subset of its key shards), journal the mutation, and stream
+        deltas to interested subscribers.
 
-        Sender-directed shards are honored even when this node's own
-        ownership view does not (yet) cover them: origin re-pushes are the
-        only repair mechanism, and lease expiries fire at different times
-        on different nodes -- a push for a shard we are about to inherit
-        must not be intersected away.  The next rebalance prunes shards we
-        never actually own."""
+        Sender-directed shards are trusted as they are: the sender already
+        hashed the profile's keys, so the owner does not redo that work on
+        cold ingest.  They are honored even when this node's own ownership
+        view does not (yet) cover them: origin re-pushes are the only
+        repair mechanism, and lease expiries fire at different times on
+        different nodes -- a push for a shard we are about to inherit must
+        not be intersected away.  The next rebalance prunes shards we never
+        actually own."""
         added = []
         replica_adds: Dict[int, List[TranslatorProfile]] = {}
         for position, profile in enumerate(profiles):
-            targets = self.shards_of_profile(profile) & self._owned
             if shard_lists is not None:
-                targets |= set(shard_lists[position])
+                targets = set(shard_lists[position])
+            else:
+                targets = self.shards_of_profile(profile) & self._owned
             if not targets and not self._owned:
                 # Degenerate pre-membership view (offline tests): store
                 # under the profile's shards directly.
@@ -2210,7 +2006,7 @@ class ShardRouter:
         through the fabric so placement still converges without a kernel.
         Self-targeted sends always short-circuit in process.
 
-        With compression on, bulk payloads (slice pushes, cold-ingest
+        With the codec on, bulk payloads (slice pushes, cold-ingest
         stores, anti-entropy full syncs, initial subscription syncs) ship
         as zlib-compressed self-contained frames charged at their *actual*
         encoded size; everything else keeps the declared-size dict
@@ -2224,7 +2020,7 @@ class ShardRouter:
             info = self.directory.runtime_info(runtime_id)
             if info is None:
                 return
-            if size >= Z_MIN_BYTES and self.runtime.compression_enabled:
+            if size >= Z_MIN_BYTES and self.runtime.codec_enabled:
                 try:
                     frame = encode_gossip(payload, compress=True)
                 except TypeError:

@@ -338,13 +338,10 @@ class Transport:
         self.runtime = runtime
         self.port = port
         #: Binary wire codec (sender policy): batch frames ship as
-        #: interned binary frames from the first byte.  Every receiver
-        #: decodes binary and JSON frames alike, so nothing is negotiated.
+        #: interned binary frames from the first byte, multi-envelope
+        #: batches as intra-batch delta frames.  Every receiver decodes
+        #: every frame form, so nothing is negotiated.
         self.codec = bool(getattr(runtime, "codec_enabled", False))
-        #: Data-plane v3 (sender policy): multi-envelope batches ship as
-        #: intra-batch delta frames.  Implies the codec (the runtime
-        #: constructor enforces it).
-        self.compression = bool(getattr(runtime, "compression_enabled", False))
         #: Per-peer symbol-interning encoders, reset with their stream.
         self._encoders: Dict[str, WireEncoder] = {}
         #: Per-peer adaptive batching state.
@@ -890,15 +887,10 @@ class Transport:
         """Binary frame for a whole batch, or None for the JSON fallback."""
         if not self.codec:
             return None
-        encoder = self._codec_encoder(runtime_id)
         try:
-            if len(envelopes) >= 2 and self.compression:
-                # Delta-encode the repeated per-envelope metadata against
-                # the previous header.
-                frame = encoder.encode_batch_delta(envelopes)
-                self.delta_batches_sent += 1
-                return frame
-            return encoder.encode_batch(envelopes)
+            # Delta-encode the repeated per-envelope metadata against the
+            # previous header (a lone envelope rides in full).
+            frame = self._codec_encoder(runtime_id).encode_batch_delta(envelopes)
         except TypeError as exc:
             self.codec_fallbacks += 1
             if self.runtime.tracing:
@@ -908,6 +900,8 @@ class Transport:
                     f"({exc}); sent as JSON",
                 )
             return None
+        self.delta_batches_sent += 1
+        return frame
 
     def _adaptive_state(self, runtime_id: str) -> _AdaptiveBatch:
         state = self._adaptive.get(runtime_id)

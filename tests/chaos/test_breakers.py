@@ -22,14 +22,8 @@ SHARDED = os.environ.get("CHAOS_SHARDED", "0") == "1"
 
 #: CHAOS_CODEC=1 re-runs every scenario with the binary wire codec +
 #: load-adaptive batching active on every runtime (binary envelopes,
-#: batch frames, gossip bodies, and WAL record bodies).
+#: delta batch frames, gossip bodies, and WAL record bodies).
 CODEC = os.environ.get("CHAOS_CODEC", "0") == "1"
-
-#: CHAOS_COMPRESSION=1 re-runs every scenario with the opt-in data-plane
-#: v3 layer (intra-batch delta frames, zlib bulk transfers and
-#: load-weighted shard placement); compression implies the codec, and
-#: every crash/recovery invariant must hold identically.
-COMPRESSION = os.environ.get("CHAOS_COMPRESSION", "0") == "1"
 
 
 def text(payload, size=100):
@@ -48,8 +42,8 @@ def drip(bed, out, count, interval=0.5):
 def crash_pair(restart_after):
     """Source on r1 query-bound to a sink on r2; r2 crashes at CRASH_AT."""
     bed = build_testbed(hosts=["h1", "h2"])
-    r1 = bed.add_runtime("h1", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
-    r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+    r1 = bed.add_runtime("h1", sharding_enabled=SHARDED, codec_enabled=CODEC)
+    r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC)
 
     received = []
     sink = Translator("display", role="display")
@@ -122,13 +116,13 @@ def failover_triple(health_enabled):
     matching sink.  r2 (the initially-bound target) crashes for good."""
     bed = build_testbed(hosts=["h1", "h2", "h3"])
     r1 = bed.add_runtime(
-        "h1", health_enabled=health_enabled, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION
+        "h1", health_enabled=health_enabled, sharding_enabled=SHARDED, codec_enabled=CODEC
     )
     r2 = bed.add_runtime(
-        "h2", health_enabled=health_enabled, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION
+        "h2", health_enabled=health_enabled, sharding_enabled=SHARDED, codec_enabled=CODEC
     )
     r3 = bed.add_runtime(
-        "h3", health_enabled=health_enabled, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION
+        "h3", health_enabled=health_enabled, sharding_enabled=SHARDED, codec_enabled=CODEC
     )
 
     received = []

@@ -29,15 +29,9 @@ SEEDS = [7, 23, 101]
 SHARDED = os.environ.get("CHAOS_SHARDED", "0") == "1"
 
 #: CHAOS_CODEC=1 re-runs every scenario with the binary wire codec
-#: active on every runtime (binary envelopes, batch frames, gossip
-#: bodies, and WAL record bodies).
+#: active on every runtime (binary envelopes, delta batch frames, plain
+#: and zlib gossip bodies, and WAL record bodies).
 CODEC = os.environ.get("CHAOS_CODEC", "0") == "1"
-
-#: CHAOS_COMPRESSION=1 re-runs every scenario with the opt-in data-plane
-#: v3 layer (intra-batch delta frames, zlib bulk transfers and
-#: load-weighted shard placement); compression implies the codec, and
-#: every crash/recovery invariant must hold identically.
-COMPRESSION = os.environ.get("CHAOS_COMPRESSION", "0") == "1"
 
 ROLES = ["display", "storage", "printer", "sensor"]
 MIMES = ["text/plain", "image/jpeg", "audio/wav"]
@@ -82,10 +76,9 @@ class TestColdRestart:
     def build(self, **kwargs):
         kwargs.setdefault("sharding_enabled", SHARDED)
         kwargs.setdefault("codec_enabled", CODEC)
-        kwargs.setdefault("compression_enabled", COMPRESSION)
         bed = build_testbed(hosts=["h1", "h2"])
         r1 = bed.add_runtime("h1", **kwargs)
-        r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC)
         received = []
         sink = Translator("display-0", role="display")
         sink.add_digital_input("data-in", "text/plain", received.append)
@@ -280,8 +273,8 @@ class TestSeededEquivalence:
     def build_population(self, seed):
         rng = random.Random(seed)
         bed = build_testbed(hosts=["h1", "h2"])
-        r1 = bed.add_runtime("h1", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
-        r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r1 = bed.add_runtime("h1", sharding_enabled=SHARDED, codec_enabled=CODEC)
+        r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC)
         for index in range(rng.randrange(4, 9)):
             translator = Translator(
                 f"svc-{seed}-{index}", role=rng.choice(ROLES)
@@ -332,8 +325,8 @@ class TestSeededEquivalence:
 class TestExactlyOnce:
     def build_pipeline(self):
         bed = build_testbed(hosts=["h1", "h2"])
-        r1 = bed.add_runtime("h1", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
-        r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r1 = bed.add_runtime("h1", sharding_enabled=SHARDED, codec_enabled=CODEC)
+        r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC)
         received = []
         sink = Translator("display-0", role="display")
         sink.add_digital_input("data-in", "text/plain", received.append)
@@ -382,9 +375,9 @@ class TestExactlyOnce:
         never be mistaken for duplicates of reused sequence numbers."""
         bed = build_testbed(hosts=["h1", "h2"])
         r1 = bed.add_runtime(
-            "h1", fsync_interval=5.0, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION
+            "h1", fsync_interval=5.0, sharding_enabled=SHARDED, codec_enabled=CODEC
         )
-        r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC)
         received = []
         sink = Translator("display-0", role="display")
         sink.add_digital_input("data-in", "text/plain", received.append)
@@ -450,9 +443,9 @@ class TestExactlyOnce:
         from stable storage."""
         bed = build_testbed(hosts=["h1", "h2"])
         r1 = bed.add_runtime(
-            "h1", journal_enabled=False, sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION
+            "h1", journal_enabled=False, sharding_enabled=SHARDED, codec_enabled=CODEC
         )
-        r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC)
         received = []
         sink = Translator("display-0", role="display")
         sink.add_digital_input("data-in", "text/plain", received.append)
@@ -485,9 +478,9 @@ class TestExactlyOnce:
         but dedup keys on per-(sender, path) envelope sequences, so no
         cross-runtime message is ever mistaken for a duplicate."""
         bed = build_testbed(hosts=["h1", "h2", "h3"])
-        r1 = bed.add_runtime("h1", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
-        r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
-        r3 = bed.add_runtime("h3", sharding_enabled=SHARDED, codec_enabled=CODEC, compression_enabled=COMPRESSION)
+        r1 = bed.add_runtime("h1", sharding_enabled=SHARDED, codec_enabled=CODEC)
+        r2 = bed.add_runtime("h2", sharding_enabled=SHARDED, codec_enabled=CODEC)
+        r3 = bed.add_runtime("h3", sharding_enabled=SHARDED, codec_enabled=CODEC)
         received = []
         sink = Translator("display-0", role="display")
         sink.add_digital_input("data-in", "text/plain", received.append)

@@ -13,8 +13,8 @@ original participant comes back.
 
 ``CHAOS_SEED`` salts the workload (token names and saga ids feed the
 jittered backoff seeds), so the CI matrix sweeps the boundaries under
-multiple seeds; ``CHAOS_SHARDED`` / ``CHAOS_CODEC`` / ``CHAOS_COMPRESSION``
-re-run the sweep on those directory/wire variants.
+multiple seeds; ``CHAOS_SHARDED`` / ``CHAOS_CODEC`` re-run the sweep on
+those directory/wire variants.
 """
 
 import os
@@ -30,12 +30,6 @@ from repro.testbed import build_testbed
 SEED = int(os.environ.get("CHAOS_SEED", "7"))
 SHARDED = os.environ.get("CHAOS_SHARDED", "0") == "1"
 CODEC = os.environ.get("CHAOS_CODEC", "0") == "1"
-
-#: CHAOS_COMPRESSION=1 re-runs every scenario with the opt-in data-plane
-#: v3 layer (intra-batch delta frames, zlib bulk transfers and
-#: load-weighted shard placement); compression implies the codec, and
-#: every crash/recovery invariant must hold identically.
-COMPRESSION = os.environ.get("CHAOS_COMPRESSION", "0") == "1"
 
 ROLES = ["lock", "light", "camera"]
 
@@ -59,7 +53,7 @@ def token_device(translator_id, role, state):
 def build(extra_hosts=()):
     kwargs = dict(
         sharding_enabled=SHARDED,
-        codec_enabled=CODEC, compression_enabled=COMPRESSION,
+        codec_enabled=CODEC,
     )
     hosts = ["h1", "h2", "h3", "h4"] + list(extra_hosts)
     bed = build_testbed(hosts=hosts)

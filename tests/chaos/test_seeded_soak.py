@@ -29,15 +29,9 @@ LOSE_STATE = os.environ.get("CHAOS_LOSE_STATE", "0") == "1"
 SHARDED = os.environ.get("CHAOS_SHARDED", "0") == "1"
 
 #: CHAOS_CODEC=1 re-runs every scenario with the binary wire codec
-#: active on every runtime (binary envelopes, batch frames, gossip
-#: bodies, and WAL record bodies).
+#: active on every runtime (binary envelopes, delta batch frames, plain
+#: and zlib gossip bodies, and WAL record bodies).
 CODEC = os.environ.get("CHAOS_CODEC", "0") == "1"
-
-#: CHAOS_COMPRESSION=1 re-runs every scenario with the opt-in data-plane
-#: v3 layer (intra-batch delta frames, zlib bulk transfers and
-#: load-weighted shard placement); compression implies the codec, and
-#: every crash/recovery invariant must hold identically.
-COMPRESSION = os.environ.get("CHAOS_COMPRESSION", "0") == "1"
 
 #: CHAOS_REPLICATION=1 re-runs the storm with replicated shard slices
 #: (replication_factor=2 on every runtime): epoch-fenced replica pushes,
@@ -55,7 +49,7 @@ def build_soak():
     bed = build_testbed(hosts=["h1", "h2", "h3"])
     kwargs = dict(
         sharding_enabled=SHARDED,
-        codec_enabled=CODEC, compression_enabled=COMPRESSION,
+        codec_enabled=CODEC,
         replication_factor=2 if REPLICATION else 1,
     )
     r1 = bed.add_runtime("h1", **kwargs)
@@ -262,7 +256,7 @@ class TestSagaSoak:
         bed = build_testbed(hosts=["h1", "h2", "h3"])
         kwargs = dict(
             sharding_enabled=SHARDED,
-            codec_enabled=CODEC, compression_enabled=COMPRESSION,
+            codec_enabled=CODEC,
             replication_factor=2 if REPLICATION else 1,
         )
         r1 = bed.add_runtime("h1", **kwargs)

@@ -9,9 +9,9 @@ envelopes/batches, directory gossip datagrams, and journal record bodies
   (after JSON's own key coercion), over fuzzed structures;
 - a truncated or bit-flipped frame raises :class:`CodecError` (or, for
   journal bodies, fails the record CRC) -- it never silently mis-decodes;
-- the codec and compression flags are pure sender policy: a producer
-  with them on sends binary (and delta) frames to every peer, including
-  peers whose own flags are off, and every peer decodes them.
+- the codec flag is pure sender policy: a producer with it on sends
+  binary (and delta) frames to every peer, including peers whose own
+  flag is off, and every peer decodes them.
 """
 
 import json
@@ -410,42 +410,6 @@ class TestCompressedFrames:
                 )
         assert decode_gossip(frame) == reference  # frame itself unharmed
 
-    def test_compressed_journal_body_round_trips(self):
-        record = {
-            "lsn": 9,
-            "kind": "checkpoint",
-            "data": {"profiles": [{"id": f"t{i}", "role": "display"} for i in range(40)]},
-        }
-        plain = encode_journal_body(record)
-        packed = encode_journal_body(record, compress=True)
-        assert len(packed) < len(plain)
-        assert is_binary_journal_body(packed)
-        assert b"\n" not in packed
-        assert decode_journal_body(packed) == canonical(record)
-
-    def test_incompressible_journal_body_falls_back_to_plain(self):
-        record = {"lsn": 1, "kind": "path-open", "data": {"path_id": "p1"}}
-        assert encode_journal_body(record, compress=True) == encode_journal_body(record)
-
-    def test_compressed_journal_record_replays_in_mixed_blob(self):
-        big = {"profiles": [{"id": f"t{i}", "role": "display"} for i in range(40)]}
-        blob = encode_record(1, "register", {"id": "t1"}, binary=True)
-        blob += encode_record(2, "checkpoint", big, binary=True, compress=True)
-        blob += encode_record(3, "path-open", {"path_id": "p1"}, binary=False)
-        records, _clean, discarded = replay_blob(blob)
-        assert [r["lsn"] for r in records] == [1, 2, 3]
-        assert records[1]["data"] == big
-        assert discarded == 0
-
-    def test_corrupt_compressed_journal_body_fails_record_crc(self):
-        big = {"profiles": [{"id": f"t{i}", "role": "display"} for i in range(40)]}
-        record = encode_record(1, "checkpoint", big, binary=True, compress=True)
-        blob = bytearray(record)
-        blob[len(blob) // 2] ^= 0x10
-        records, _clean, discarded = replay_blob(bytes(blob))
-        assert records == []
-        assert discarded == len(blob)
-
 
 # -- satellite regressions --------------------------------------------------
 
@@ -487,7 +451,7 @@ class TestSizeAccounting:
         assert profile.encoded_size() < json_size(profile.to_dict())
 
 
-# -- mixed-version federation ----------------------------------------------
+# -- codec sender policy ---------------------------------------------------
 
 
 def build_fanout(sink_codec_flags, **producer_kwargs):
@@ -515,7 +479,7 @@ def build_fanout(sink_codec_flags, **producer_kwargs):
     return bed, producer, out, sinks
 
 
-class TestMixedVersionFederation:
+class TestCodecSenderPolicy:
     def send_burst(self, out, count=60):
         for index in range(count):
             out.send(UMessage("text/plain", f"m{index}", 120))
@@ -558,9 +522,9 @@ class TestMixedVersionFederation:
 
 
 class TestCompressionFederation:
-    """Compression is sender policy: a compression-on producer sends
-    delta batches to every peer, and every peer decodes them losslessly,
-    whatever its own flags."""
+    """A plain ``codec_enabled=True`` federation uses the codec's compact
+    frames: delta batches on the data plane and zlib frames for bulk
+    transfers, and every peer decodes them losslessly."""
 
     def burst(self, bed, out, count=120):
         # Back-to-back sends so the batched sender accumulates
@@ -569,16 +533,10 @@ class TestCompressionFederation:
             out.send(UMessage("text/plain", f"m{index}", 120))
         bed.settle(30.0)
 
-    def fanout_pair(self, peer_compression):
-        hosts = ["h0", "p0"]
-        bed = build_testbed(hosts=hosts)
-        producer = bed.add_runtime("h0", compression_enabled=True)
-        peer_kwargs = (
-            {"compression_enabled": True}
-            if peer_compression
-            else {"codec_enabled": True}
-        )
-        runtime = bed.add_runtime("p0", **peer_kwargs)
+    def fanout_pair(self, hosts=("h0", "p0"), **kwargs):
+        bed = build_testbed(hosts=list(hosts))
+        producer = bed.add_runtime("h0", codec_enabled=True, **kwargs)
+        runtime = bed.add_runtime("p0", codec_enabled=True, **kwargs)
         source = Translator("feed", role="sensor")
         out = source.add_digital_output("data-out", "text/plain")
         producer.register_translator(source)
@@ -596,9 +554,7 @@ class TestCompressionFederation:
         return bed, producer, runtime, out, received
 
     def test_codec_only_peer_decodes_delta_batches(self):
-        bed, producer, peer, out, received = self.fanout_pair(
-            peer_compression=False
-        )
+        bed, producer, peer, out, received = self.fanout_pair()
         self.burst(bed, out)
         assert [m.payload for m in received] == [f"m{i}" for i in range(120)]
         assert producer.transport.delta_batches_sent > 0
@@ -606,9 +562,7 @@ class TestCompressionFederation:
         assert bed.network.trace.count("transport.protocol-error") == 0
 
     def test_cold_recovered_runtime_sends_binary_from_first_batch(self):
-        bed, producer, peer, out, received = self.fanout_pair(
-            peer_compression=True
-        )
+        bed, producer, peer, out, received = self.fanout_pair()
         self.burst(bed, out)
         producer.crash(lose_state=True)
         producer.recover()
@@ -627,11 +581,22 @@ class TestCompressionFederation:
         assert transport.codec_fallbacks == fallbacks
 
     def test_compression_everywhere_sends_delta_batches(self):
+        """Delta batches on the data plane and zlib bulk transfers on the
+        shard plane, from runtimes with nothing but the codec on."""
         bed, producer, peer, out, received = self.fanout_pair(
-            peer_compression=True
+            hosts=("h0", "p0", "p1"), sharding_enabled=True
         )
+        for index in range(12):
+            extra = Translator(f"lamp-{index}", role="display")
+            extra.add_digital_input("power", "text/plain", lambda m: None)
+            producer.register_translator(extra)
+        bed.settle(1.0)
+        # A join re-places every local profile in one push per owner: a
+        # bulk shard-plane transfer (at least Z_MIN_BYTES declared).
+        bed.add_runtime("p1", codec_enabled=True, sharding_enabled=True)
         self.burst(bed, out)
         assert [m.payload for m in received] == [f"m{i}" for i in range(120)]
         assert producer.transport.delta_batches_sent > 0
-        # Lossless: the peer received the identical message sequence, so
-        # delta frames reconstructed every header byte-for-byte.
+        assert producer.shards.z_frames_sent > 0
+        assert bed.network.trace.count("directory.protocol-error") == 0
+        assert bed.network.trace.count("transport.protocol-error") == 0

@@ -15,10 +15,11 @@ import random
 
 import pytest
 
-from repro.core.directory import DirectoryError
+from repro.core.directory import LEASE, SWEEP_INTERVAL, DirectoryError
 from repro.core.profile import TranslatorProfile
 from repro.core.query import Query
 from repro.core.runtime import UMiddleRuntime
+from repro.core.shapes import Shape
 from repro.core.shard import (
     DEFAULT_SHARD_COUNT,
     ShardMap,
@@ -397,3 +398,73 @@ class TestStaleOwnAdd:
         bed.settle(5.0)
         assert n0.lookup(Query(role="display")) == []
         assert binding.bound_translators == []
+
+
+class TestReceiverAheadOfSender:
+    """A receiver whose membership view is ahead of the sender's: it has
+    already inherited a dead owner's shard, which the sender still maps
+    to that owner (DESIGN.md section 13)."""
+
+    def test_inherited_shard_placement_converges_within_one_lease(self):
+        bed = build_testbed(hosts=[f"skew{i}" for i in range(4)])
+        runtimes = [
+            bed.add_runtime(f"skew{i}", sharding_enabled=True)
+            for i in range(4)
+        ]
+        bed.settle(12.0)
+        origin, receiver, _other, dead = runtimes
+        ahead = ShardMap(origin.shards.map.shard_count)
+        ahead.rebuild(r.runtime_id for r in runtimes if r is not dead)
+        key = ("platform", "x10")
+        # A profile whose platform placement lies on a shard the dead
+        # runtime owns in the sender's view and the receiver owns in its
+        # own, and which the sender also pushes to the receiver for
+        # another of its keys.
+        for index in range(5000):
+            profile = TranslatorProfile(
+                translator_id=f"lamp-{index}",
+                name="lamp",
+                platform="x10",
+                device_type="lamp",
+                role="light",
+                runtime_id=origin.runtime_id,
+                shape=Shape([]),
+            )
+            inherited = origin.shards.placement_shard(
+                key, profile.translator_id
+            )
+            pushed = origin.shards.shards_of_profile(profile) - {inherited}
+            if (
+                origin.shards.map.owner(inherited) == dead.runtime_id
+                and ahead.owner(inherited) == receiver.runtime_id
+                and any(
+                    origin.shards.map.owner(shard) == receiver.runtime_id
+                    for shard in pushed
+                )
+            ):
+                break
+        else:
+            pytest.fail("no profile with the needed placements")
+        tid = profile.translator_id
+
+        def found(runtime):
+            return [p.translator_id for p in runtime.lookup(Query(platform="x10"))]
+
+        dead.crash()
+        # The receiver's transport gave up on the dead peer before the
+        # sender's lease on it fired.
+        receiver.directory.expire_runtime(dead.runtime_id, reason="test")
+        assert receiver.shards.map.owner(inherited) == receiver.runtime_id
+        assert origin.shards.map.owner(inherited) == dead.runtime_id
+        origin.directory.register(profile)
+        bed.settle(0.5)
+        # Stored under the sender's list only, and still served: the
+        # store's index is keyed by discovery key, not by shard.
+        assert inherited not in receiver.shards.store.placements_of(tid)
+        assert found(receiver) == [tid]
+
+        # The sender's own lease fires; its complete re-push places the
+        # profile under the inherited shard.
+        bed.settle(LEASE + SWEEP_INTERVAL)
+        assert inherited in receiver.shards.store.placements_of(tid)
+        assert found(receiver) == found(origin) == [tid]

@@ -318,6 +318,45 @@ class TestReplaySemantics:
         state = self.apply(("future-kind", {"anything": True}))
         assert state.registered == {} and state.applied_records == 0
 
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_legacy_shard_weight_state_replays_to_same_registrations(
+        self, binary
+    ):
+        """A journal written while load-weighted shard placement existed,
+        whose checkpoint stayed plain, holds ``shard-weights`` records and
+        a checkpoint field for them; replay ignores both and rebuilds the
+        same registrations.  (A deflated checkpoint body from those
+        runtimes does not replay at all: DESIGN.md section 17.)"""
+        weights = {"epoch": 2, "tiers": {"5": 1}}
+
+        def blob(legacy):
+            checkpoint = {
+                "registered": {"t1": {"translator_id": "t1"}},
+                "bindings": {},
+                "paths": {},
+                "spool": {},
+                "stream_seqs": {},
+                "breakers": {},
+            }
+            steps = [("checkpoint", checkpoint)]
+            if legacy:
+                checkpoint["shard_weights"] = weights
+                steps.append(("shard-weights", weights))
+            steps.append(("register", {"profile": {"translator_id": "t2"}}))
+            return b"".join(
+                encode_record(lsn, kind, data, binary)
+                for lsn, (kind, data) in enumerate(steps, 1)
+            )
+
+        def replayed(data):
+            records, _clean, discarded = replay_blob(data)
+            assert discarded == 0
+            return self.apply(*[(r["kind"], r["data"]) for r in records])
+
+        legacy = replayed(blob(legacy=True))
+        assert set(legacy.registered) == {"t1", "t2"}
+        assert legacy.registered == replayed(blob(legacy=False)).registered
+
 
 class TestAmortizedSpoolRecords:
     """`append_spool` folding and the batched replay kinds it produces."""
